@@ -85,4 +85,4 @@ from .partition import (
     weight,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

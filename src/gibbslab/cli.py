@@ -18,8 +18,6 @@ from . import convexity, harness, models, partition
 from .graphs import graph_to_json, sample_er
 from .partition import StateSpaceCapError
 
-MODEL_FLAG_KEYS = ("lambda", "beta", "q", "k", "h", "i_values", "i_probs")
-
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help="zoo model name")

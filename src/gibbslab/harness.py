@@ -57,10 +57,21 @@ _MODEL_KEYS = ("lambda", "beta", "q", "k", "h", "i_values", "i_probs")
 
 
 def resolve_workers(n_workers: Optional[int] = None) -> int:
+    """Worker count: ``n_workers`` if given, else GIBBSLAB_WORKERS, else 1.
+
+    Raises ValueError unless the chosen value is a positive integer; an
+    empty GIBBSLAB_WORKERS counts as unset.
+    """
     if n_workers is not None:
-        return max(1, int(n_workers))
+        if int(n_workers) != n_workers or n_workers < 1:
+            raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
+        return int(n_workers)
     env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _utc_now() -> str:

@@ -14,7 +14,6 @@ Gaussian kernel node potential evaluated by composite midpoint quadrature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -673,8 +672,3 @@ def model_from_config(obj: dict) -> tuple[ModelSpec, int]:
 
 def model_to_config(model: ModelSpec, seed: int) -> dict:
     return {"model": model.name, "params": dict(model.params), "seed": int(seed)}
-
-
-def load_model_config(path: str) -> tuple[ModelSpec, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_config(json.load(fh))

@@ -2,9 +2,10 @@
 
 All products live in log space; a zero potential factor propagates as the
 -inf sentinel (Z = 0 is a legal outcome for hard-core models, and log Z is
-defined to be -inf there).  Enumeration is row-major over assignments with a
-streaming log-sum-exp: per-chunk (max, rescaled sum) pairs are folded in
-chunk-index order, so results are bit-identical for any worker count.
+defined to be -inf there).  Exact log Z is variable elimination over
+log-domain factor tables in a deterministic min-degree order, so results are
+bit-identical in every process.  The parallel layer is the harness pool over
+samples; nothing here starts a process.
 
 Continuous (piecewise-constant) domains contribute cell value * cell length
 per node factor, which makes the discrete embedding exact.
@@ -13,15 +14,15 @@ per node factor, which makes the discrete embedding exact.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import Hypergraph, graph_from_json, graph_to_json
+from .graphs import Hypergraph, degree_stats, graph_from_json, graph_to_json
 from .models import (
     ModelSpec,
     PotentialDraws,
@@ -51,12 +52,11 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 2 ** 24
-DEFAULT_CHUNK = 2 ** 16
 MC_SHARD_SIZE = 2 ** 14
 
 
 class StateSpaceCapError(RuntimeError):
-    """Assignment space exceeds the exact-enumeration cap; use Monte Carlo."""
+    """An elimination factor would exceed the exact-evaluation cap; use Monte Carlo."""
 
 
 @dataclass(frozen=True, order=True)
@@ -123,67 +123,6 @@ def _safe_log(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_node_tables(instance: Instance, with_lengths: bool) -> np.ndarray:
-    tables = instance.potentials.node_tables
-    if with_lengths:
-        tables = tables * instance.model.domain.lengths
-    return _safe_log(tables)
-
-
-@functools.lru_cache(maxsize=8)
-def _assignment_block(n_states: int, n_nodes: int) -> np.ndarray:
-    """All n_states^n_nodes assignments, row-major, as a read-only matrix."""
-    total = n_states ** n_nodes
-    powers = n_states ** np.arange(n_nodes - 1, -1, -1, dtype=np.int64)
-    states = (np.arange(total, dtype=np.int64)[:, None] // powers) % n_states
-    states.setflags(write=False)
-    return states
-
-
-def _decode_assignments(idx: np.ndarray, n_states: int, n_nodes: int) -> np.ndarray:
-    powers = n_states ** np.arange(n_nodes - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // powers) % n_states
-
-
-def _block_log_weights(states: np.ndarray, log_nodes: np.ndarray,
-                       log_edges: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    n_nodes = log_nodes.shape[0]
-    w = log_nodes[np.arange(n_nodes)[None, :], states].sum(axis=1)
-    for e_idx in range(edges.shape[0]):
-        cols = tuple(states[:, v] for v in edges[e_idx])
-        w = w + log_edges[e_idx][cols]
-    return w
-
-
-def _chunk_stats(w: np.ndarray) -> tuple[float, float]:
-    m = float(w.max())
-    if m == -math.inf:
-        return -math.inf, 0.0
-    return m, float(np.exp(w - m).sum())
-
-
-def _fold_chunks(stats: Sequence[tuple[float, float]]) -> float:
-    run_max, run_sum = -math.inf, 0.0
-    for m, s in stats:
-        if m == -math.inf:
-            continue
-        if m <= run_max:
-            run_sum += s * math.exp(m - run_max)
-        else:
-            run_sum = run_sum * math.exp(run_max - m) + s
-            run_max = m
-    if run_max == -math.inf:
-        return -math.inf
-    return run_max + math.log(run_sum)
-
-
-def _exact_chunk_task(payload) -> tuple[float, float]:
-    log_nodes, log_edges, edges, n_states, lo, hi = payload
-    idx = np.arange(lo, hi, dtype=np.int64)
-    states = _decode_assignments(idx, n_states, log_nodes.shape[0])
-    return _chunk_stats(_block_log_weights(states, log_nodes, log_edges, edges))
-
-
 # ---------------------------------------------------------------------------
 # Exact evaluation
 # ---------------------------------------------------------------------------
@@ -207,46 +146,104 @@ def weight(instance: Instance, assignment: Sequence[int]) -> float:
     return total
 
 
-def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP,
-                chunk_size: int = DEFAULT_CHUNK,
-                n_workers: Optional[int] = None) -> LogZ:
-    """Exact log Z by streaming log-sum-exp over all assignments.
+def _elimination_order(n_nodes: int,
+                       scopes: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Greedy min-degree elimination order of the primal graph and its width.
 
-    Raises StateSpaceCapError when n_states^N exceeds ``cap``.  The result is
-    independent of chunk scheduling: per-chunk stats are folded in chunk
-    order regardless of which worker produced them.
+    Ties go to the lowest node index, so the order, and with it every bit of
+    log_z_exact, is the same in every process.  The width is the number of
+    nodes in the largest scope an elimination step creates.
+    """
+    adj: list[set[int]] = [set() for _ in range(n_nodes)]
+    for scope in scopes:
+        for u in scope:
+            adj[u].update(scope)
+    for u in range(n_nodes):
+        adj[u].discard(u)
+    heap = [(len(nbrs), u) for u, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
+    order: list[int] = []
+    eliminated = [False] * n_nodes
+    width = 0
+    while heap:
+        degree, u = heapq.heappop(heap)
+        if eliminated[u] or degree != len(adj[u]):
+            continue  # stale entry: u's degree changed after it was pushed
+        eliminated[u] = True
+        order.append(u)
+        width = max(width, degree + 1)
+        for v in adj[u]:
+            adj[v] |= adj[u]
+            adj[v] -= {u, v}
+            heapq.heappush(heap, (len(adj[v]), v))
+    return order, width
+
+
+def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
+    """Exact log Z by variable elimination in log space.
+
+    Nodes are summed out one at a time in a greedy min-degree order (bucket
+    elimination).  A symbolic pass first finds the largest intermediate
+    factor, over W nodes, and raises StateSpaceCapError when n_states^W
+    exceeds ``cap`` entries, before any table is allocated.  Each bucket adds
+    the broadcast log tables of its factors and sums the eliminated node out
+    with ``np.logaddexp.reduce``, so a zero factor stays the -inf sentinel.
+    Each message is shifted to peak at 0 and log Z is the exact sum
+    (``math.fsum``) of the shifts, so rounding does not grow with log Z and
+    equal buckets give equal bits whatever the graph's shape.  Disconnected
+    components factorize with no special code.
     """
     n_states = instance.model.n_states
     n_nodes = instance.graph.n_nodes
-    total = n_states ** n_nodes
-    if total > cap:
+    edges = instance.graph.edges.tolist()
+    order, width = _elimination_order(n_nodes, edges)
+    if n_states ** width > cap:
         raise StateSpaceCapError(
-            f"{n_states}^{n_nodes} = {total} assignments exceed cap {cap}")
-    log_nodes = _log_node_tables(instance, with_lengths=True)
-    log_edges = _safe_log(instance.potentials.edge_tables)
-    edges = instance.graph.edges
+            f"elimination needs a factor over {width} nodes: "
+            f"{n_states}^{width} = {n_states ** width} entries exceed cap {cap}")
+    position = [0] * n_nodes
+    for i, u in enumerate(order):
+        position[u] = i
 
-    if total <= chunk_size:
-        states = _assignment_block(n_states, n_nodes)
-        w = _block_log_weights(states, log_nodes, log_edges, edges)
-        return LogZ(_fold_chunks([_chunk_stats(w)]))
+    # A factor is (scope, table): scope lists elimination positions in
+    # ascending order and the table has one axis per scope entry, so a
+    # factor always sits in the bucket of its first scope entry.
+    lengths = instance.model.domain.lengths
+    log_nodes = _safe_log(instance.potentials.node_tables * lengths)
+    buckets = [[((position[u],), log_nodes[u])] for u in order]
+    for edge, table in zip(edges, _safe_log(instance.potentials.edge_tables)):
+        axes = [position[u] for u in edge]
+        scope = sorted(set(axes))
+        # einsum labels must be small: label each axis by its rank in scope.
+        # A node repeated in the tuple collapses the table to its diagonal.
+        table = np.einsum(table, [scope.index(a) for a in axes], range(len(scope)))
+        buckets[scope[0]].append((tuple(scope), table))
 
-    bounds = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
-    payloads = [(log_nodes, log_edges, edges, n_states, lo, hi) for lo, hi in bounds]
-    if n_workers and n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            stats = list(pool.map(_exact_chunk_task, payloads, chunksize=4))
-    else:
-        stats = [_exact_chunk_task(p) for p in payloads]
-    return LogZ(_fold_chunks(stats))
+    shifts = []
+    for i in range(n_nodes):
+        scope = sorted(set().union(*(s for s, _ in buckets[i])))
+        tables = []
+        for s, table in buckets[i]:
+            shape = [1] * len(scope)
+            for a in s:
+                shape[scope.index(a)] = n_states
+            tables.append(table.reshape(shape))
+        message = np.logaddexp.reduce(functools.reduce(np.add, tables), axis=0)
+        shift = float(message.max())
+        if shift == -math.inf:
+            return LogZ(-math.inf)  # every assignment of the scope has weight 0
+        shifts.append(shift)
+        if len(scope) > 1:
+            buckets[scope[1]].append((tuple(scope[1:]), message - shift))
+    return LogZ(math.fsum(shifts))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimate
 # ---------------------------------------------------------------------------
 
-def _mc_shard_task(payload) -> np.ndarray:
-    node_probs, log_edges, edges, seed, shard_idx, size = payload
+def _mc_shard(node_probs: np.ndarray, log_edges: np.ndarray, edges: np.ndarray,
+              seed: int, shard_idx: int, size: int) -> np.ndarray:
     rng = substream(seed, MC_SHARD, shard_idx)
     n_nodes, n_states = node_probs.shape
     states = np.empty((size, n_nodes), dtype=np.int64)
@@ -259,16 +256,15 @@ def _mc_shard_task(payload) -> np.ndarray:
     return lw
 
 
-def log_z_mc(instance: Instance, samples: int, seed: int, *,
-             n_workers: Optional[int] = None,
-             shard_size: int = MC_SHARD_SIZE) -> McLogZ:
+def log_z_mc(instance: Instance, samples: int, seed: int) -> McLogZ:
     """Importance sampling from the product node measure.
 
     Each spin is drawn independently proportional to h_u * cell length; the
     estimator averages the edge-factor product, so
     Z_hat = (prod_u integral h_u) * mean(prod_e J_e).  The standard error is
-    delta-method on the log scale.  Shard structure depends only on
-    ``samples``, so any worker count reproduces the same estimate bit for bit.
+    delta-method on the log scale.  Samples are drawn in shards of
+    MC_SHARD_SIZE, shard i from its own substream, so the estimate depends
+    only on (instance, samples, seed).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -281,15 +277,9 @@ def log_z_mc(instance: Instance, samples: int, seed: int, *,
     log_edges = _safe_log(instance.potentials.edge_tables)
     edges = instance.graph.edges
 
-    sizes = [min(shard_size, samples - lo) for lo in range(0, samples, shard_size)]
-    payloads = [(node_probs, log_edges, edges, seed, i, sz)
-                for i, sz in enumerate(sizes)]
-    if n_workers and n_workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            shards = list(pool.map(_mc_shard_task, payloads, chunksize=1))
-    else:
-        shards = [_mc_shard_task(p) for p in payloads]
-    lw = np.concatenate(shards)
+    sizes = [min(MC_SHARD_SIZE, samples - lo) for lo in range(0, samples, MC_SHARD_SIZE)]
+    lw = np.concatenate([_mc_shard(node_probs, log_edges, edges, seed, i, size)
+                         for i, size in enumerate(sizes)])
 
     mu = float(lw.max())
     zero_fraction = float(np.mean(lw == -math.inf))
@@ -319,15 +309,11 @@ def logz_bounds(instance: Instance) -> tuple[float, float]:
     return mn * math.log(soft.rho_min), mn * math.log(soft.rho_max)
 
 
-def _incidence_count(graph: Hypergraph, node: int) -> int:
-    return sum(1 for edge in graph.edges if node in edge)
-
-
 def node_change_bound(instance: Instance, node: int) -> float:
     """Bound on |delta log Z| when node's potential is swapped admissibly."""
     if not 0 <= node < instance.graph.n_nodes:
         raise ValueError(f"node {node} out of range")
-    inc = _incidence_count(instance.graph, node)
+    inc = int(degree_stats(instance.graph).node_incidences[node])
     return 2.0 * (1 + inc) * instance.model.soft.log_ratio
 
 

@@ -69,9 +69,18 @@ class TestUsageErrors:
         assert code == 2
 
     def test_exact_beyond_cap_suggests_mc(self, capsys):
-        code, _, err = run(capsys, "logz", "--model", "independent_set",
-                           "--lambda", "1", "--n", "30", "--c", "1", "--exact")
+        """Dense 3-SAT at N = 60: elimination needs a factor over 51 nodes."""
+        code, _, err = run(capsys, "logz", "--model", "ksat", "--k", "3",
+                           "--beta", "0.5", "--n", "60", "--c", "10", "--exact")
         assert code == 2 and "--mc" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_workers_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GIBBSLAB_WORKERS", value)
+        code, _, err = run(capsys, "concentrate", "--model", "independent_set",
+                           "--lambda", "1", "--n-list", "4,6", "--c", "1",
+                           "--samples", "10")
+        assert code == 2 and "GIBBSLAB_WORKERS" in err
 
     def test_out_of_range_parameter(self, capsys):
         code, _, err = run(capsys, "certify", "--model", "independent_set",

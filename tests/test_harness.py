@@ -243,3 +243,14 @@ class TestWorkersEnv:
         monkeypatch.setenv("GIBBSLAB_WORKERS", "2")
         assert resolve_workers() == 2
         assert resolve_workers(5) == 5
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", " 2", "+2"])
+    def test_rejects_non_positive_integers(self, monkeypatch, value):
+        monkeypatch.setenv("GIBBSLAB_WORKERS", value)
+        with pytest.raises(ValueError, match="GIBBSLAB_WORKERS"):
+            resolve_workers()
+
+    @pytest.mark.parametrize("value", [0, -5, 1.5])
+    def test_rejects_bad_argument(self, value):
+        with pytest.raises(ValueError, match="n_workers"):
+            resolve_workers(value)

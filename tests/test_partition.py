@@ -96,7 +96,7 @@ class TestLogZExact:
 
     def test_cycle_lucas_number_n20(self):
         """Independent sets of the cycle C_20 number L_20 = 15127 (Lucas);
-        exercises the multi-chunk enumeration at the 1e-12 target."""
+        closing the cycle makes elimination build a three-node factor."""
         m = build_model("independent_set", **{"lambda": 1.0})
         cycle = _graph(20, [[i, (i + 1) % 20] for i in range(20)])
         inst = make_instance(m, cycle, 0)
@@ -124,23 +124,16 @@ class TestLogZExact:
             else:
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
-    def test_chunking_and_workers_bit_identical(self):
-        """Worker count never changes the result; chunk size only within
-        round-off."""
-        m = build_model("ising", beta=0.4, h=1.2)
-        graph = _graph(10, [[i, (i + 1) % 10] for i in range(10)])
-        inst = make_instance(m, graph, 5)
-        full = log_z_exact(inst).value
-        chunked = log_z_exact(inst, chunk_size=64).value
-        two_workers = log_z_exact(inst, chunk_size=64, n_workers=2).value
-        assert chunked == two_workers
-        assert full == pytest.approx(chunked, rel=1e-13)
-
     def test_cap(self):
+        """The cap limits elimination factor entries, not assignments: a
+        6-path (largest factor 2^2) evaluates under cap 2^5, the complete
+        graph K_6 (largest factor 2^6) does not."""
         m = build_model("independent_set", **{"lambda": 1.0})
-        inst = make_instance(m, _graph(6, [[0, 1]]), 0)
+        path = make_instance(m, _graph(6, [[i, i + 1] for i in range(5)]), 0)
+        assert math.exp(log_z_exact(path, cap=2 ** 5).value) == pytest.approx(21.0)
+        clique = _graph(6, [[u, v] for u in range(6) for v in range(u + 1, 6)])
         with pytest.raises(StateSpaceCapError):
-            log_z_exact(inst, cap=2 ** 5)
+            log_z_exact(make_instance(m, clique, 0), cap=2 ** 5)
 
     def test_continuous_cells_use_lengths(self):
         """Half-width cells halve every node factor."""
@@ -174,13 +167,6 @@ class TestLogZMc:
         est = log_z_mc(inst, samples=1_000_000, seed=3)
         assert abs(est.value - math.log(3)) <= 3 * est.std_error
         assert est.std_error < 1e-3
-
-    def test_worker_count_bit_identical(self):
-        m = build_model("ksat", k=2, beta=0.8)
-        inst = make_instance(m, _graph(5, [[0, 1], [2, 3], [3, 4]]), 9)
-        a = log_z_mc(inst, samples=40_000, seed=4)
-        b = log_z_mc(inst, samples=40_000, seed=4, n_workers=2)
-        assert a.value == b.value and a.std_error == b.std_error
 
     def test_all_zero_weights_reports_bound(self):
         m = build_model("independent_set", **{"lambda": 1.0})
@@ -311,7 +297,7 @@ class TestContinuousModel:
         assert lo - 1e-9 <= got <= hi + 1e-9
 
     def test_chunked_continuous_enumeration(self):
-        """512-cell Gaussian domain on two nodes crosses the chunk boundary."""
+        """512-cell Gaussian domain on two nodes: one 512 x 512 factor."""
         from gibbslab import gaussian_kernel_potential
         from gibbslab.models import (EdgePotentialSpec, ModelSpec,
                                      NodePotentialSpec, SoftStateParams)

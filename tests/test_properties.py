@@ -1,0 +1,150 @@
+"""Property tests over random instances: the exact evaluator against the
+rational oracle, component factorization at the disjoint-union endpoint, and
+invariance under the discrete-to-continuous embedding."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gibbslab import (
+    Hypergraph,
+    Instance,
+    InterpolationPoint,
+    PotentialDraws,
+    build_model,
+    edge_count,
+    embed_discrete,
+    log_z_exact,
+    make_instance,
+    replace_node_table,
+    sample_interpolated,
+)
+
+from naive import naive_log_z
+
+# Derandomized so every run checks the same examples.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def discrete_models(draw, names=("independent_set", "potts", "ising", "viana_bray",
+                                 "xor", "ksat")):
+    """A zoo model with K and q up to 3."""
+    name = draw(st.sampled_from(names))
+    k = draw(st.integers(2, 3))
+    beta = draw(st.floats(0.3, 1.0))
+    h = draw(st.floats(0.5, 2.0))
+    if name == "independent_set":
+        model = build_model(name, **{"lambda": draw(st.floats(0.3, 2.5))})
+    elif name == "potts":
+        model = build_model(name, q=draw(st.integers(2, 3)), beta=beta)
+    elif name == "ising":
+        model = build_model(name, beta=beta, h=h)
+    elif name == "viana_bray":
+        model = build_model(name, k=k, beta=beta, h=h)
+    else:
+        model = build_model(name, k=k, beta=beta)
+    return model
+
+
+def zoo_models(names=None):
+    """Zoo models, embedded in the continuous domain in half of the draws."""
+    models = discrete_models(names) if names else discrete_models()
+    return st.tuples(models, st.booleans()).map(
+        lambda pair: embed_discrete(pair[0]) if pair[1] else pair[0])
+
+
+def _edges(draw, n, k, max_edges):
+    """Ordered K-tuples over [0, n); a node may repeat within a tuple."""
+    tuples = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                           max_size=max_edges))
+    return np.array(tuples, dtype=np.int64).reshape(-1, k)
+
+
+@st.composite
+def oracle_instances(draw, max_assignments=256):
+    """Instances small enough for the rational oracle.  In half of them the
+    edge tables are replaced by asymmetric random tables with zeros, and some
+    node-table entries are zeroed, so that Z = 0 occurs."""
+    model = draw(zoo_models())
+    n_max = int(math.log(max_assignments, model.n_states) + 1e-9)
+    n = draw(st.integers(1, n_max))
+    graph = Hypergraph(n, model.arity, _edges(draw, n, model.arity, 2 * n))
+    inst = make_instance(model, graph, draw(SEEDS))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(SEEDS))
+        shape = inst.potentials.edge_tables.shape
+        tables = np.where(rng.random(shape) < 0.2, 0.0, rng.uniform(0.1, 2.0, shape))
+        inst = Instance(graph, PotentialDraws(inst.potentials.node_tables, tables), model)
+    zeroed = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, model.n_states - 1)), max_size=n))
+    for u, x in zeroed:
+        table = inst.potentials.node_tables[u].copy()
+        table[x] = 0.0
+        inst = replace_node_table(inst, u, table)
+    return inst
+
+
+@PROPERTY
+@given(oracle_instances())
+def test_exact_matches_rational_oracle(inst):
+    got = log_z_exact(inst).value
+    want = naive_log_z(inst)
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@PROPERTY
+@given(zoo_models(names=("independent_set",)), st.integers(1, 12), st.data())
+def test_forced_hard_core_conflict_is_zero(model, n, data):
+    """Forcing both ends of an edge occupied (or the node of a loop) gives
+    Z = 0, so log Z is -inf exactly."""
+    edges = _edges(data.draw, n, 2, 2 * n)
+    edges = np.vstack([edges, data.draw(st.lists(st.integers(0, n - 1),
+                                                 min_size=2, max_size=2))])
+    inst = make_instance(model, Hypergraph(n, 2, edges), data.draw(SEEDS))
+    for u in set(edges[-1].tolist()):
+        inst = replace_node_table(inst, u, [0.0, 1.0])
+    assert log_z_exact(inst).value == -math.inf
+
+
+def _block(inst, nodes, keep, offset):
+    graph = Hypergraph(nodes.stop - nodes.start, inst.graph.arity,
+                       inst.graph.edges[keep] - offset)
+    pots = PotentialDraws(inst.potentials.node_tables[nodes],
+                          inst.potentials.edge_tables[keep])
+    return Instance(graph, pots, inst.model)
+
+
+@PROPERTY
+@given(zoo_models(), st.integers(1, 10), st.integers(1, 10),
+       st.sampled_from(["0.5", "1", "1.5"]), SEEDS)
+def test_disjoint_union_endpoint_factorizes(model, n1, n2, c, seed):
+    """At t = floor(c*N) the graph is a disjoint union of the two blocks, so
+    log Z is the sum of the blocks' log Z."""
+    n = n1 + n2
+    point = InterpolationPoint(edge_count(n, c), n1, n2)
+    inst = make_instance(model, sample_interpolated(n, c, model.arity, point, seed),
+                         seed)
+    in1 = np.all(inst.graph.edges < n1, axis=1)
+    assert np.all(in1 | np.all(inst.graph.edges >= n1, axis=1))
+    z1 = log_z_exact(_block(inst, slice(0, n1), in1, 0)).value
+    z2 = log_z_exact(_block(inst, slice(n1, n), ~in1, n1)).value
+    assert log_z_exact(inst).value == pytest.approx(z1 + z2, rel=1e-12, abs=1e-12)
+
+
+@PROPERTY
+@given(discrete_models(), st.integers(1, 12), st.data())
+def test_embedding_preserves_log_z(model, n, data):
+    """Unit cells make the continuous embedding an identity on Z."""
+    graph = Hypergraph(n, model.arity, _edges(data.draw, n, model.arity, 2 * n))
+    seed = data.draw(SEEDS)
+    discrete = log_z_exact(make_instance(model, graph, seed)).value
+    embedded = log_z_exact(make_instance(embed_discrete(model), graph, seed)).value
+    assert embedded == pytest.approx(discrete, rel=1e-12, abs=1e-12)

@@ -83,6 +83,7 @@ from .partition import (
     node_change_bound,
     replace_node_table,
     weight,
+    z_exact_rational,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

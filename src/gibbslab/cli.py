@@ -19,18 +19,22 @@ from .graphs import graph_to_json, sample_er
 from .partition import StateSpaceCapError
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help="zoo model name")
     parser.add_argument("--config", help="JSON config file with model/params/seed")
-    parser.add_argument("--lambda", dest="lambda_", type=float,
+    parser.add_argument("--lambda", type=float,
                         help="activity of the independent set model")
     parser.add_argument("--beta", type=float)
     parser.add_argument("--q", type=int)
     parser.add_argument("--k", type=int)
     parser.add_argument("--h", type=float)
-    parser.add_argument("--i-values", type=str,
+    parser.add_argument("--i-values", type=_float_list,
                         help="comma-separated support of I (viana_bray)")
-    parser.add_argument("--i-probs", type=str,
+    parser.add_argument("--i-probs", type=_float_list,
                         help="comma-separated probabilities of I (viana_bray)")
 
 
@@ -41,17 +45,9 @@ def _model_from_args(args) -> tuple[models.ModelSpec, Optional[int]]:
         return model, seed
     if not args.model:
         raise models.ModelConfigError("either --model or --config is required")
-    params = {}
-    if args.lambda_ is not None:
-        params["lambda"] = args.lambda_
-    for key in ("beta", "q", "k", "h"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    if args.i_values is not None:
-        params["i_values"] = [float(x) for x in args.i_values.split(",")]
-    if args.i_probs is not None:
-        params["i_probs"] = [float(x) for x in args.i_probs.split(",")]
+    flags = vars(args)
+    params = {key: flags[key] for key in models.MODEL_PARAM_KEYS
+              if flags[key] is not None}
     return models.build_model(args.model, **params), None
 
 
@@ -88,9 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_logz.add_argument("--n", type=int, required=True)
     p_logz.add_argument("--c", type=str, required=True)
     p_logz.add_argument("--seed", type=int, default=0)
-    group = p_logz.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=True)
-    group.add_argument("--mc", action="store_true")
+    p_logz.add_argument("--mc", action="store_true")
     p_logz.add_argument("--samples", type=int, default=100000)
 
     p_cert = sub.add_parser("certify", help="certify the convexity hypothesis")

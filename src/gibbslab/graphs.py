@@ -113,19 +113,20 @@ def edge_count(n_nodes: int, c: EdgeDensity) -> int:
     Strings and floats go through Decimal so that e.g. c = 0.3, N = 10 gives
     3 rather than a float-floor off-by-one.
     """
-    if isinstance(c, (int, Fraction)):
-        frac = Fraction(c)
-    elif isinstance(c, Decimal):
-        frac = Fraction(c)
+    if isinstance(c, (int, Fraction, Decimal)):
+        value = c
     elif isinstance(c, str):
         try:
-            frac = Fraction(Decimal(c))
+            value = Decimal(c)
         except InvalidOperation as exc:
             raise ValueError(f"cannot parse edge density {c!r}") from exc
     elif isinstance(c, float):
-        frac = Fraction(Decimal(str(c)))
+        value = Decimal(str(c))
     else:
         raise TypeError(f"unsupported edge density type {type(c)!r}")
+    if isinstance(value, Decimal) and not value.is_finite():
+        raise ValueError(f"edge density must be finite, got {c!r}")
+    frac = Fraction(value)
     if frac <= 0:
         raise ValueError(f"edge density must be positive, got {c}")
     return math.floor(frac * n_nodes)

@@ -26,9 +26,9 @@ import numpy as np
 from .convexity import certify_model
 from .graphs import Hypergraph, InterpolationPoint, edge_count, sample_er, \
     sample_interpolated
-from .models import Discrete, ModelSpec, build_model
-from .partition import Instance, instance_from_json, instance_to_json, \
-    log_z_exact, make_instance
+from .models import MODEL_PARAM_KEYS, Discrete, ModelSpec, decode_model
+from .partition import Instance, add_edge, instance_from_json, instance_to_json, \
+    log_z_exact, make_instance, z_exact_rational
 from .seeds import EXPERIMENT, GRAPH, SAMPLE, derive_seed, substream
 
 __all__ = [
@@ -51,9 +51,6 @@ __all__ = [
 ]
 
 WORKERS_ENV = "GIBBSLAB_WORKERS"
-
-# Model parameter keys recognized when rebuilding a model from record params.
-_MODEL_KEYS = ("lambda", "beta", "q", "k", "h", "i_values", "i_probs")
 
 
 def resolve_workers(n_workers: Optional[int] = None) -> int:
@@ -144,12 +141,17 @@ def _logz_samples(model: ModelSpec, n_nodes: int, c, samples: int, seed: int,
     return np.concatenate(parts)
 
 
+def _check_samples(samples: int, name: str = "samples") -> None:
+    if samples < 2:
+        raise ValueError(f"{name} must be at least 2 for a standard error, "
+                         f"got {samples}")
+
+
 def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int,
                        seed: int, point: Optional[InterpolationPoint] = None,
                        n_workers: Optional[int] = None) -> MeanEstimate:
     """Mean and standard error of log Z over fresh (graph, potentials) draws."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
+    _check_samples(samples)
     values = _logz_samples(model, n_nodes, c, samples, seed, point, n_workers)
     return MeanEstimate(float(values.mean()),
                         _sample_std(values) / math.sqrt(samples),
@@ -177,6 +179,7 @@ def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
     its (paired, when coupled) standard error.  Uncertified models require
     ``allow_uncertified`` and get a report-only verdict.
     """
+    _check_samples(samples_per_t, "samples_per_t")
     certified = certify_model(model).certified
     if not certified and not allow_uncertified:
         raise ValueError(f"model {model.name!r} is not certified; "
@@ -241,28 +244,14 @@ def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
 def random_base_instance(model: ModelSpec, n_nodes: int, n_edges: int,
                          seed: int) -> Instance:
     """A small random instance to serve as the base graph G0."""
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be at least 1, got {n_nodes}")
+    if n_edges < 0:
+        raise ValueError(f"n_edges must be non-negative, got {n_edges}")
     rng = substream(seed, GRAPH, 1)
     edges = rng.integers(0, n_nodes, size=(n_edges, model.arity))
     graph = Hypergraph(n_nodes, model.arity, edges)
     return make_instance(model, graph, derive_seed(seed, GRAPH, 2))
-
-
-def _fraction_weights(instance: Instance) -> tuple[list, list[Fraction]]:
-    """All assignments with exact rational base weights H0(sigma)."""
-    q = instance.model.n_states
-    n = instance.graph.n_nodes
-    node_tables = instance.potentials.node_tables
-    edge_tables = instance.potentials.edge_tables
-    assignments = list(product(range(q), repeat=n))
-    weights = []
-    for sigma in assignments:
-        w = Fraction(1)
-        for u in range(n):
-            w *= Fraction(float(node_tables[u][sigma[u]]))
-        for e_idx, edge in enumerate(instance.graph.edges):
-            w *= Fraction(float(edge_tables[e_idx][tuple(sigma[v] for v in edge)]))
-        weights.append(w)
-    return assignments, weights
 
 
 def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
@@ -273,12 +262,12 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
     The left side places the extra edge uniformly over all N^K tuples; the
     right side picks block j with probability N_j/N and places uniformly
     inside it.  Both sides sum the finite edge-law support and all placements
-    in exact rational arithmetic (floats are dyadic), so the verdict
-    compares exactly.  Also checks alpha*Z0 >= Z(G0+e) for every placement
-    and draw.
+    in exact rational arithmetic, with every Z evaluated by variable
+    elimination over rationals (floats are dyadic), so the verdict compares
+    exactly.  Also checks alpha*Z0 >= Z(G0+e) for every placement and draw.
     """
-    if n_nodes > 4 or r > 3 or r < 1:
-        raise ValueError("exact moment check is limited to N <= 4, 1 <= r <= 3")
+    if n_nodes > 8 or r > 3 or r < 1:
+        raise ValueError("exact moment check is limited to N <= 8, 1 <= r <= 3")
     if not isinstance(model.domain, Discrete):
         raise ValueError("exact moment check needs a discrete model")
     if not model.edge_pot.finite_support:
@@ -292,21 +281,14 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
     alpha_f = Fraction(float(model.soft.alpha if alpha is None else alpha))
     k = model.arity
 
-    assignments, weights = _fraction_weights(g0)
-    z0 = sum(weights)
+    z0 = z_exact_rational(g0)
     support = [(table, Fraction(p)) for table, p in model.edge_pot.support]
-
-    def z_plus(placement, table) -> Fraction:
-        total = Fraction(0)
-        for sigma, w in zip(assignments, weights):
-            total += w * Fraction(float(table[tuple(sigma[v] for v in placement)]))
-        return total
 
     min_headroom = None
     term: dict = {}
     for placement in product(range(n_nodes), repeat=k):
         for t_idx, (table, _) in enumerate(support):
-            head = alpha_f * z0 - z_plus(placement, table)
+            head = alpha_f * z0 - z_exact_rational(add_edge(g0, placement, table))
             term[placement, t_idx] = head
             if min_headroom is None or head < min_headroom:
                 min_headroom = head
@@ -351,6 +333,7 @@ def concentration_experiment(model: ModelSpec, n_list: Sequence[int], c,
     zero variance yield a report-only verdict.  Also reports the empirical
     tail fraction P(|logZ/N - mean| > log(N)^3 / sqrt(N)) per size.
     """
+    _check_samples(samples)
     results: dict = {}
     stds = []
     for idx, n_nodes in enumerate(n_list):
@@ -392,6 +375,7 @@ def convergence_experiment(model: ModelSpec, n_list: Sequence[int], c,
     the running-sup Fekete extrapolate.  Report-only: the true limit is
     unknown.
     """
+    _check_samples(samples)
     sizes = sorted(set(int(n) for n in n_list))
     a: dict[int, float] = {}
     results: dict = {}
@@ -483,8 +467,8 @@ def records_to_csv(records: Sequence[ExperimentRecord], path: str) -> None:
 
 
 def _model_from_params(params: dict) -> ModelSpec:
-    kwargs = {k: params[k] for k in _MODEL_KEYS if k in params}
-    return build_model(params["model"], **kwargs)
+    return decode_model(params["model"],
+                        {k: params[k] for k in MODEL_PARAM_KEYS if k in params})
 
 
 def replay_record(record: ExperimentRecord,

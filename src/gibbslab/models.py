@@ -41,6 +41,9 @@ __all__ = [
     "draw_potentials",
     "verify_soft_state",
     "gaussian_kernel_potential",
+    "MODEL_PARAM_KEYS",
+    "EMBEDDED_SUFFIX",
+    "decode_model",
     "model_from_config",
     "model_to_config",
     "vb_f1",
@@ -286,6 +289,10 @@ class PotentialDraws:
 # ---------------------------------------------------------------------------
 
 ZOO_MODELS = ("independent_set", "potts", "ising", "viana_bray", "xor", "ksat")
+# Every parameter build_model accepts, across the zoo.
+MODEL_PARAM_KEYS = ("lambda", "beta", "q", "k", "h", "i_values", "i_probs")
+# Name suffix of a model that embed_discrete made.
+EMBEDDED_SUFFIX = "_embedded"
 
 
 def _sign_product_table(k: int) -> np.ndarray:
@@ -547,7 +554,7 @@ def embed_discrete(model: ModelSpec) -> ModelSpec:
         raise ModelConfigError("embed_discrete takes a model with a Discrete domain")
     q = model.domain.q
     domain = PiecewiseContinuous(tuple((float(i), float(i + 1)) for i in range(q)))
-    return ModelSpec(model.name + "_embedded", domain, model.node_pot,
+    return ModelSpec(model.name + EMBEDDED_SUFFIX, domain, model.node_pot,
                      model.edge_pot, model.soft, dict(model.params))
 
 
@@ -659,6 +666,18 @@ def verify_soft_state(model: ModelSpec, rel_tol: float = 1e-12,
 # Config files
 # ---------------------------------------------------------------------------
 
+def decode_model(name: str, params: dict) -> ModelSpec:
+    """Rebuild a model from its ``name`` and its ``params``.
+
+    A name with the EMBEDDED_SUFFIX that embed_discrete appends is built from
+    the base name and then embedded, so every model the package makes decodes
+    from what it stores.
+    """
+    base = name.removesuffix(EMBEDDED_SUFFIX)
+    model = build_model(base, **params)
+    return embed_discrete(model) if base != name else model
+
+
 def model_from_config(obj: dict) -> tuple[ModelSpec, int]:
     """Build (model, seed) from a config object {"model", "params", "seed"}."""
     try:
@@ -667,7 +686,7 @@ def model_from_config(obj: dict) -> tuple[ModelSpec, int]:
         seed = int(obj["seed"])
     except KeyError as exc:
         raise ModelConfigError(f"config is missing field {exc}") from exc
-    return build_model(name, **params), seed
+    return decode_model(name, params), seed
 
 
 def model_to_config(model: ModelSpec, seed: int) -> dict:

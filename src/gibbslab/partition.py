@@ -4,8 +4,9 @@ All products live in log space; a zero potential factor propagates as the
 -inf sentinel (Z = 0 is a legal outcome for hard-core models, and log Z is
 defined to be -inf there).  Exact log Z is variable elimination over
 log-domain factor tables in a deterministic min-degree order, so results are
-bit-identical in every process.  The parallel layer is the harness pool over
-samples; nothing here starts a process.
+bit-identical in every process; the same pass over exact rationals gives Z
+as a Fraction.  The parallel layer is the harness pool over samples;
+nothing here starts a process.
 
 Continuous (piecewise-constant) domains contribute cell value * cell length
 per node factor, which makes the discrete embedding exact.
@@ -18,17 +19,18 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from fractions import Fraction
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .graphs import Hypergraph, degree_stats, graph_from_json, graph_to_json
 from .models import (
+    EMBEDDED_SUFFIX,
     ModelSpec,
     PotentialDraws,
-    build_model,
+    decode_model,
     draw_potentials,
-    embed_discrete,
 )
 from .seeds import MC_SHARD, substream
 
@@ -40,6 +42,7 @@ __all__ = [
     "make_instance",
     "weight",
     "log_z_exact",
+    "z_exact_rational",
     "log_z_mc",
     "logz_bounds",
     "node_change_bound",
@@ -179,18 +182,41 @@ def _elimination_order(n_nodes: int,
     return order, width
 
 
-def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
-    """Exact log Z by variable elimination in log space.
+@dataclass(frozen=True)
+class _Semiring:
+    """The operations one elimination pass needs: ``lift`` a float table into
+    the ring, ``mul`` two broadcast tables, ``sum0`` out axis 0, ``div`` a
+    message by a scalar, the ring's ``zero``, and ``combine`` the per-bucket
+    scales into Z."""
 
-    Nodes are summed out one at a time in a greedy min-degree order (bucket
-    elimination).  A symbolic pass first finds the largest intermediate
-    factor, over W nodes, and raises StateSpaceCapError when n_states^W
-    exceeds ``cap`` entries, before any table is allocated.  Each bucket adds
-    the broadcast log tables of its factors and sums the eliminated node out
-    with ``np.logaddexp.reduce``, so a zero factor stays the -inf sentinel.
-    Each message is shifted to peak at 0 and log Z is the exact sum
-    (``math.fsum``) of the shifts, so rounding does not grow with log Z and
-    equal buckets give equal bits whatever the graph's shape.  Disconnected
+    lift: Callable[[np.ndarray], np.ndarray]
+    mul: Callable
+    sum0: Callable
+    div: Callable
+    zero: object
+    combine: Callable
+
+
+# Log space: a zero factor is the -inf sentinel and scales add exactly (fsum).
+_LOG = _Semiring(_safe_log, np.add, lambda t: np.logaddexp.reduce(t, axis=0),
+                 np.subtract, -math.inf, math.fsum)
+# Exact rationals: floats are dyadic, so Fraction(float) loses nothing.
+# An object-array sum over a 1-D table returns a bare Fraction; asarray keeps
+# every message an array with a .max().
+_RATIONAL = _Semiring(np.frompyfunc(Fraction, 1, 1), np.multiply,
+                      lambda t: np.asarray(t.sum(axis=0)), np.divide, Fraction(0),
+                      lambda scales: math.prod(scales, start=Fraction(1)))
+
+
+def _eliminate(instance: Instance, ring: _Semiring, cap: int):
+    """Z in ``ring`` by bucket elimination in the min-degree order.
+
+    A symbolic pass first finds the largest intermediate factor, over W
+    nodes, and raises StateSpaceCapError when n_states^W exceeds ``cap``
+    entries, before any table is allocated.  Each bucket multiplies the
+    broadcast tables of its factors and sums the eliminated node out.  Each
+    message is divided by its maximum and Z combines those scales, so equal
+    buckets give equal results whatever the graph's shape.  Disconnected
     components factorize with no special code.
     """
     n_states = instance.model.n_states
@@ -209,9 +235,9 @@ def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
     # ascending order and the table has one axis per scope entry, so a
     # factor always sits in the bucket of its first scope entry.
     lengths = instance.model.domain.lengths
-    log_nodes = _safe_log(instance.potentials.node_tables * lengths)
-    buckets = [[((position[u],), log_nodes[u])] for u in order]
-    for edge, table in zip(edges, _safe_log(instance.potentials.edge_tables)):
+    node_factors = ring.lift(instance.potentials.node_tables * lengths)
+    buckets = [[((position[u],), node_factors[u])] for u in order]
+    for edge, table in zip(edges, ring.lift(instance.potentials.edge_tables)):
         axes = [position[u] for u in edge]
         scope = sorted(set(axes))
         # einsum labels must be small: label each axis by its rank in scope.
@@ -219,7 +245,7 @@ def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
         table = np.einsum(table, [scope.index(a) for a in axes], range(len(scope)))
         buckets[scope[0]].append((tuple(scope), table))
 
-    shifts = []
+    scales = []
     for i in range(n_nodes):
         scope = sorted(set().union(*(s for s, _ in buckets[i])))
         tables = []
@@ -228,14 +254,38 @@ def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
             for a in s:
                 shape[scope.index(a)] = n_states
             tables.append(table.reshape(shape))
-        message = np.logaddexp.reduce(functools.reduce(np.add, tables), axis=0)
-        shift = float(message.max())
-        if shift == -math.inf:
-            return LogZ(-math.inf)  # every assignment of the scope has weight 0
-        shifts.append(shift)
+        message = ring.sum0(functools.reduce(ring.mul, tables))
+        scale = message.max()
+        if scale == ring.zero:
+            return ring.zero  # every assignment of the scope has weight 0
+        scales.append(scale)
         if len(scope) > 1:
-            buckets[scope[1]].append((tuple(scope[1:]), message - shift))
-    return LogZ(math.fsum(shifts))
+            buckets[scope[1]].append((tuple(scope[1:]), ring.div(message, scale)))
+    return ring.combine(scales)
+
+
+def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
+    """Exact log Z by variable elimination in log space.
+
+    Nodes are summed out one at a time in a greedy min-degree order (bucket
+    elimination); StateSpaceCapError is raised when the largest intermediate
+    factor would exceed ``cap`` entries.  Buckets add log tables and sum out
+    with ``np.logaddexp.reduce``, so a zero factor stays the -inf sentinel.
+    Each message is shifted to peak at 0 and log Z is the exact sum
+    (``math.fsum``) of the shifts, so rounding does not grow with log Z.
+    """
+    return LogZ(_eliminate(instance, _LOG, cap))
+
+
+def z_exact_rational(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> Fraction:
+    """Exact Z as a rational, by the same elimination plan as log_z_exact.
+
+    Every float table entry is read as the exact rational it denotes, and
+    sums and products are exact.  The node factor is the float product of
+    node potential and cell length, which is exact for Discrete domains and
+    unit cells.
+    """
+    return _eliminate(instance, _RATIONAL, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +435,10 @@ def logz_row(value: Union[LogZ, McLogZ], method: str, seed: int) -> dict:
 def instance_to_json(instance: Instance) -> str:
     """Bundle graph + potential tables; zoo-backed models only."""
     model = instance.model
-    embedded = model.name.endswith("_embedded")
-    name = model.name[:-len("_embedded")] if embedded else model.name
+    name = model.name.removesuffix(EMBEDDED_SUFFIX)
     payload = {
-        "model": {"name": name, "params": dict(model.params), "embedded": embedded},
+        "model": {"name": name, "params": dict(model.params),
+                  "embedded": name != model.name},
         "graph": json.loads(graph_to_json(instance.graph)),
         "node_tables": instance.potentials.node_tables.tolist(),
         "edge_tables": instance.potentials.edge_tables.tolist(),
@@ -398,9 +448,9 @@ def instance_to_json(instance: Instance) -> str:
 
 def instance_from_json(text: str) -> Instance:
     obj = json.loads(text)
-    model = build_model(obj["model"]["name"], **obj["model"]["params"])
-    if obj["model"]["embedded"]:
-        model = embed_discrete(model)
+    spec = obj["model"]
+    suffix = EMBEDDED_SUFFIX if spec["embedded"] else ""
+    model = decode_model(spec["name"] + suffix, spec["params"])
     graph = graph_from_json(json.dumps(obj["graph"]))
     shape = (model.n_states,) * model.arity
     node_tables = np.array(obj["node_tables"], dtype=float).reshape(

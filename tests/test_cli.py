@@ -39,8 +39,7 @@ class TestCertify:
 class TestLogz:
     def test_potts_exact_value(self, capsys):
         code, out, _ = run(capsys, "logz", "--model", "potts", "--q", "3",
-                           "--beta", "0", "--n", "4", "--c", "1", "--seed", "7",
-                           "--exact")
+                           "--beta", "0", "--n", "4", "--c", "1", "--seed", "7")
         assert code == 0
         row = json.loads(out)
         assert row["method"] == "exact" and row["seed"] == 7
@@ -71,7 +70,7 @@ class TestUsageErrors:
     def test_exact_beyond_cap_suggests_mc(self, capsys):
         """Dense 3-SAT at N = 60: elimination needs a factor over 51 nodes."""
         code, _, err = run(capsys, "logz", "--model", "ksat", "--k", "3",
-                           "--beta", "0.5", "--n", "60", "--c", "10", "--exact")
+                           "--beta", "0.5", "--n", "60", "--c", "10")
         assert code == 2 and "--mc" in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
@@ -81,6 +80,27 @@ class TestUsageErrors:
                            "--lambda", "1", "--n-list", "4,6", "--c", "1",
                            "--samples", "10")
         assert code == 2 and "GIBBSLAB_WORKERS" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("logz", "--model", "independent_set", "--lambda", "1", "--n", "4",
+         "--c", "inf"),
+        ("logz", "--model", "independent_set", "--lambda", "1", "--n", "4",
+         "--c", "1", "--exact"),
+        ("interpolate", "--model", "independent_set", "--lambda", "1", "--n", "4",
+         "--n1", "2", "--c", "1", "--samples", "1"),
+        ("concentrate", "--model", "independent_set", "--lambda", "1",
+         "--n-list", "4,6", "--c", "1", "--samples", "1"),
+        ("converge", "--model", "independent_set", "--lambda", "1",
+         "--n-list", "4,8", "--c", "1", "--samples", "1"),
+        ("moments", "--model", "independent_set", "--lambda", "1", "--n", "0",
+         "--n1", "1", "--r", "1"),
+        ("moments", "--model", "independent_set", "--lambda", "1", "--n", "3",
+         "--n1", "1", "--r", "1", "--g0-edges", "-1"),
+    ])
+    def test_bad_input_exits_2(self, capsys, argv):
+        """Bad input is a usage error, never a traceback or a verdict."""
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == ""
 
     def test_out_of_range_parameter(self, capsys):
         code, _, err = run(capsys, "certify", "--model", "independent_set",

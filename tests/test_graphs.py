@@ -33,12 +33,10 @@ class TestEdgeCount:
         assert edge_count(3, 2.5) == 7
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            edge_count(5, 0)
-        with pytest.raises(ValueError):
-            edge_count(5, "-1")
-        with pytest.raises(ValueError):
-            edge_count(5, "abc")
+        """Also rejects what is not a finite number, so the CLI exits 2."""
+        for bad in (0, "-1", "abc", "inf", float("inf"), "nan"):
+            with pytest.raises(ValueError):
+                edge_count(5, bad)
 
 
 class TestSampleEr:

@@ -1,13 +1,18 @@
 """Experiment drivers: estimates, verdicts, persistence, and replay."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from gibbslab import (
+    ZOO_MODELS,
+    add_edge,
     build_model,
     concentration_experiment,
     convergence_experiment,
+    embed_discrete,
     estimate_mean_logz,
     interpolation_monotonicity,
     moment_inequality_check,
@@ -25,6 +30,9 @@ from gibbslab.harness import (
     records_to_csv,
     resolve_workers,
 )
+from gibbslab.models import model_from_config, model_to_config
+
+from naive import naive_z
 
 IS1 = build_model("independent_set", **{"lambda": 1.0})
 
@@ -60,8 +68,16 @@ class TestEstimateMeanLogz:
         assert math.isfinite(est.mean)
 
     def test_needs_two_samples(self):
+        """One sample has no standard error; every experiment refuses it
+        rather than report SE 0."""
         with pytest.raises(ValueError):
             estimate_mean_logz(IS1, 4, 1, samples=1, seed=0)
+        with pytest.raises(ValueError, match="samples_per_t"):
+            interpolation_monotonicity(IS1, 4, 2, 1, samples_per_t=1, seed=0)
+        with pytest.raises(ValueError, match="samples"):
+            concentration_experiment(IS1, [4, 6], 1, samples=1, seed=0)
+        with pytest.raises(ValueError, match="samples"):
+            convergence_experiment(IS1, [4, 8], 1, samples=0, seed=0)
 
 
 class TestInterpolationMonotonicity:
@@ -133,12 +149,61 @@ class TestMomentInequality:
         assert rec.verdict == "pass"
         assert rec.results["min_headroom"] >= 0.0
 
+    @pytest.mark.parametrize("model,n,n1,r,n_edges", [
+        (IS1, 6, 2, 3, 4),
+        (build_model("potts", q=3, beta=0.7), 5, 3, 2, 3),
+        (build_model("viana_bray", k=2, beta=0.6, h=1.2), 6, 3, 1, 5),
+        (build_model("ksat", k=3, beta=0.9), 5, 2, 3, 3),
+    ], ids=["is_n6", "potts_q3_n5", "vb_n6", "ksat_k3_n5"])
+    def test_matches_naive_oracle(self, model, n, n1, r, n_edges):
+        """Both sides and the headroom recomputed from the brute-force oracle
+        on every G0 + e, at N beyond the old limit of 4."""
+        g0 = random_base_instance(model, n, n_edges, seed=n + r)
+        rec = moment_inequality_check(model, n, n1, r, g0)
+        alpha = Fraction(model.soft.alpha)
+        z0 = naive_z(g0)
+        head = {}
+        for placement in itertools.product(range(n), repeat=model.arity):
+            for idx, (table, _) in enumerate(model.edge_pot.support):
+                head[placement, idx] = alpha * z0 - naive_z(add_edge(g0, placement, table))
+
+        def side(blocks):
+            total = Fraction(0)
+            for lo, hi in blocks:
+                weight = Fraction(hi - lo, n) / (hi - lo) ** model.arity
+                for placement in itertools.product(range(lo, hi), repeat=model.arity):
+                    for idx, (_, prob) in enumerate(model.edge_pot.support):
+                        total += weight * Fraction(prob) * head[placement, idx] ** r
+            return total
+
+        left = side([(0, n)])
+        right = side([(0, n1), (n1, n)])
+        assert rec.results["left"] == float(left)
+        assert rec.results["right"] == float(right)
+        assert rec.results["min_headroom"] == float(min(head.values()))
+        assert rec.verdict == ("pass" if left <= right and min(head.values()) >= 0
+                               else "fail")
+
+    def test_ksat_k3_r3_at_n8(self):
+        """K = 3 3-SAT with r = 3 at the limit N = 8: 512 placements x 8 tables."""
+        m = build_model("ksat", k=3, beta=0.9)
+        g0 = random_base_instance(m, 8, 6, seed=1)
+        rec = moment_inequality_check(m, 8, 4, 3, g0)
+        assert rec.verdict == "pass"
+        assert rec.results["min_headroom"] >= 0.0
+
     def test_preconditions(self):
         g0 = random_base_instance(IS1, 3, 2, seed=5)
         with pytest.raises(ValueError):
-            moment_inequality_check(IS1, 5, 1, 2, g0)
+            moment_inequality_check(IS1, 9, 1, 2, g0)
         with pytest.raises(ValueError):
             moment_inequality_check(IS1, 3, 1, 4, g0)
+
+    def test_base_instance_sizes_rejected(self):
+        with pytest.raises(ValueError, match="n_nodes"):
+            random_base_instance(IS1, 0, 2, seed=0)
+        with pytest.raises(ValueError, match="n_edges"):
+            random_base_instance(IS1, 3, -1, seed=0)
 
 
 class TestConcentration:
@@ -228,6 +293,23 @@ class TestRecordsAndReplay:
         rec = moment_inequality_check(m, 3, 1, 1, g0)
         back = record_from_json(record_to_json(rec))
         assert verify_replay(back)
+
+    @pytest.mark.parametrize("name", ZOO_MODELS)
+    def test_zoo_model_and_embedding_replay(self, name):
+        """Records and configs of every zoo model and of its embedding decode
+        back to the same model."""
+        params = {"independent_set": {"lambda": 1.0}, "potts": {"q": 3, "beta": 0.7},
+                  "ising": {"beta": 0.5, "h": 1.2},
+                  "viana_bray": {"k": 2, "beta": 0.6, "h": 1.1},
+                  "xor": {"k": 2, "beta": 0.8}, "ksat": {"k": 3, "beta": 0.9}}[name]
+        base = build_model(name, **params)
+        for model in (base, embed_discrete(base)):
+            rec = interpolation_monotonicity(model, 4, 2, 1, samples_per_t=4, seed=0,
+                                             allow_uncertified=True)
+            assert verify_replay(record_from_json(record_to_json(rec)))
+            back, seed = model_from_config(model_to_config(model, 5))
+            assert (back.name, back.params, seed) == (model.name, model.params, 5)
+            assert back.domain == model.domain
 
     def test_unknown_experiment_rejected(self):
         rec = ExperimentRecord("bogus", {"model": "potts"}, {}, "report")

@@ -1,6 +1,7 @@
-"""Property tests over random instances: the exact evaluator against the
-rational oracle, component factorization at the disjoint-union endpoint, and
-invariance under the discrete-to-continuous embedding."""
+"""Property tests over random instances: the exact evaluators (log space and
+rational) against the rational oracle, component factorization at the
+disjoint-union endpoint, and invariance under the discrete-to-continuous
+embedding."""
 
 import math
 
@@ -21,9 +22,10 @@ from gibbslab import (
     make_instance,
     replace_node_table,
     sample_interpolated,
+    z_exact_rational,
 )
 
-from naive import naive_log_z
+from naive import naive_log_z, naive_z
 
 # Derandomized so every run checks the same examples.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -92,6 +94,7 @@ def oracle_instances(draw, max_assignments=256):
 @PROPERTY
 @given(oracle_instances())
 def test_exact_matches_rational_oracle(inst):
+    assert z_exact_rational(inst) == naive_z(inst)
     got = log_z_exact(inst).value
     want = naive_log_z(inst)
     if want == -math.inf:

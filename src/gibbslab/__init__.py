@@ -84,6 +84,7 @@ from .partition import (
     replace_node_table,
     weight,
     z_exact_rational,
+    z_exact_rational_edge_added,
 )
 
 __version__ = "0.3.0"

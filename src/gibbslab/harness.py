@@ -27,8 +27,8 @@ from .convexity import certify_model
 from .graphs import Hypergraph, InterpolationPoint, edge_count, sample_er, \
     sample_interpolated
 from .models import MODEL_PARAM_KEYS, Discrete, ModelSpec, decode_model
-from .partition import Instance, add_edge, instance_from_json, instance_to_json, \
-    log_z_exact, make_instance, z_exact_rational
+from .partition import Instance, instance_from_json, instance_to_json, log_z_exact, \
+    make_instance, z_exact_rational, z_exact_rational_edge_added
 from .seeds import EXPERIMENT, GRAPH, SAMPLE, derive_seed, substream
 
 __all__ = [
@@ -263,8 +263,10 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
     right side picks block j with probability N_j/N and places uniformly
     inside it.  Both sides sum the finite edge-law support and all placements
     in exact rational arithmetic, with every Z evaluated by variable
-    elimination over rationals (floats are dyadic), so the verdict compares
-    exactly.  Also checks alpha*Z0 >= Z(G0+e) for every placement and draw.
+    elimination over rationals (floats are dyadic): Z0 by one pass, and
+    Z(G0+e) as the edge table against G0's marginal table over the edge's
+    nodes, one pass per node set.  So the verdict compares exactly.  Also
+    checks alpha*Z0 >= Z(G0+e) for every placement and draw.
     """
     if n_nodes > 8 or r > 3 or r < 1:
         raise ValueError("exact moment check is limited to N <= 8, 1 <= r <= 3")
@@ -283,15 +285,9 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
 
     z0 = z_exact_rational(g0)
     support = [(table, Fraction(p)) for table, p in model.edge_pot.support]
-
-    min_headroom = None
-    term: dict = {}
-    for placement in product(range(n_nodes), repeat=k):
-        for t_idx, (table, _) in enumerate(support):
-            head = alpha_f * z0 - z_exact_rational(add_edge(g0, placement, table))
-            term[placement, t_idx] = head
-            if min_headroom is None or head < min_headroom:
-                min_headroom = head
+    z_plus = z_exact_rational_edge_added(g0, [table for table, _ in support])
+    term = {key: alpha_f * z0 - z for key, z in z_plus.items()}
+    min_headroom = min(term.values())
 
     left = Fraction(0)
     inv_total = Fraction(1, n_nodes ** k)

@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "weight",
     "log_z_exact",
     "z_exact_rational",
+    "z_exact_rational_edge_added",
     "log_z_mc",
     "logz_bounds",
     "node_change_bound",
@@ -149,13 +151,14 @@ def weight(instance: Instance, assignment: Sequence[int]) -> float:
     return total
 
 
-def _elimination_order(n_nodes: int,
-                       scopes: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
+                       keep: Sequence[int] = ()) -> tuple[list[int], int]:
     """Greedy min-degree elimination order of the primal graph and its width.
 
     Ties go to the lowest node index, so the order, and with it every bit of
-    log_z_exact, is the same in every process.  The width is the number of
-    nodes in the largest scope an elimination step creates.
+    log_z_exact, is the same in every process.  The nodes in ``keep`` come
+    last, in ascending order.  The width is the number of nodes in the
+    largest scope an elimination step creates, or in ``keep``.
     """
     adj: list[set[int]] = [set() for _ in range(n_nodes)]
     for scope in scopes:
@@ -163,7 +166,7 @@ def _elimination_order(n_nodes: int,
             adj[u].update(scope)
     for u in range(n_nodes):
         adj[u].discard(u)
-    heap = [(len(nbrs), u) for u, nbrs in enumerate(adj)]
+    heap = [(len(nbrs), u) for u, nbrs in enumerate(adj) if u not in keep]
     heapq.heapify(heap)
     order: list[int] = []
     eliminated = [False] * n_nodes
@@ -178,17 +181,20 @@ def _elimination_order(n_nodes: int,
         for v in adj[u]:
             adj[v] |= adj[u]
             adj[v] -= {u, v}
-            heapq.heappush(heap, (len(adj[v]), v))
-    return order, width
+            if v not in keep:
+                heapq.heappush(heap, (len(adj[v]), v))
+    return order + sorted(keep), max(width, len(keep))
 
 
 @dataclass(frozen=True)
 class _Semiring:
-    """The operations one elimination pass needs: ``lift`` a float table into
-    the ring, ``mul`` two broadcast tables, ``sum0`` out axis 0, ``div`` a
-    message by a scalar, the ring's ``zero``, and ``combine`` the per-bucket
-    scales into Z."""
+    """The operations one elimination pass needs: ``nodes`` builds the node
+    factors from potentials and cell lengths, ``lift`` maps an edge table
+    into the ring, ``mul`` multiplies two broadcast tables, ``sum0`` sums out
+    axis 0, ``div`` divides a message by a scalar, ``zero`` is the ring's
+    zero and ``combine`` turns the per-bucket scales into Z."""
 
+    nodes: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lift: Callable[[np.ndarray], np.ndarray]
     mul: Callable
     sum0: Callable
@@ -198,31 +204,56 @@ class _Semiring:
 
 
 # Log space: a zero factor is the -inf sentinel and scales add exactly (fsum).
-_LOG = _Semiring(_safe_log, np.add, lambda t: np.logaddexp.reduce(t, axis=0),
-                 np.subtract, -math.inf, math.fsum)
-# Exact rationals: floats are dyadic, so Fraction(float) loses nothing.
-# An object-array sum over a 1-D table returns a bare Fraction; asarray keeps
+_LOG = _Semiring(lambda h, lengths: _safe_log(h * lengths), _safe_log, np.add,
+                 lambda t: np.logaddexp.reduce(t, axis=0), np.subtract, -math.inf,
+                 math.fsum)
+# Exact rationals: floats are dyadic, so Fraction(float) loses nothing, and
+# node potential and cell length are multiplied as rationals.  An
+# object-array sum over a 1-D table returns a bare Fraction; asarray keeps
 # every message an array with a .max().
-_RATIONAL = _Semiring(np.frompyfunc(Fraction, 1, 1), np.multiply,
-                      lambda t: np.asarray(t.sum(axis=0)), np.divide, Fraction(0),
-                      lambda scales: math.prod(scales, start=Fraction(1)))
+_fraction = np.frompyfunc(Fraction, 1, 1)
+_RATIONAL = _Semiring(lambda h, lengths: _fraction(h) * _fraction(lengths), _fraction,
+                      np.multiply, lambda t: np.asarray(t.sum(axis=0)), np.divide,
+                      Fraction(0), lambda scales: math.prod(scales, start=Fraction(1)))
 
 
-def _eliminate(instance: Instance, ring: _Semiring, cap: int):
+def _factors(instance: Instance, ring: _Semiring) -> tuple:
+    """Node factors, edge list and edge factors of ``instance`` in ``ring``."""
+    return (ring.nodes(instance.potentials.node_tables, instance.model.domain.lengths),
+            instance.graph.edges.tolist(), ring.lift(instance.potentials.edge_tables))
+
+
+def _product(factors: list, scope: Sequence[int], ring: _Semiring, n_states: int):
+    """The product of (scope, table) ``factors``, broadcast over ``scope``."""
+    tables = []
+    for s, table in factors:
+        shape = [1] * len(scope)
+        for a in s:
+            shape[scope.index(a)] = n_states
+        tables.append(table.reshape(shape))
+    return functools.reduce(ring.mul, tables)
+
+
+def _eliminate(node_factors: np.ndarray, edges: list, edge_factors: np.ndarray,
+               ring: _Semiring, cap: int, keep: Sequence[int] = ()):
     """Z in ``ring`` by bucket elimination in the min-degree order.
 
-    A symbolic pass first finds the largest intermediate factor, over W
-    nodes, and raises StateSpaceCapError when n_states^W exceeds ``cap``
-    entries, before any table is allocated.  Each bucket multiplies the
-    broadcast tables of its factors and sums the eliminated node out.  Each
-    message is divided by its maximum and Z combines those scales, so equal
-    buckets give equal results whatever the graph's shape.  Disconnected
-    components factorize with no special code.
+    The factors are already in ``ring``: one row of ``node_factors`` per
+    node and one table in ``edge_factors`` per tuple in ``edges``.  A
+    symbolic pass first finds the largest intermediate factor, over W nodes,
+    and raises StateSpaceCapError when n_states^W exceeds ``cap`` entries,
+    before any table is allocated.  Each bucket multiplies the broadcast
+    tables of its factors and sums the eliminated node out.  Each message is
+    divided by its maximum and Z combines those scales, so equal buckets
+    give equal results whatever the graph's shape.  Disconnected components
+    factorize with no special code.
+
+    The nodes in ``keep`` are not summed out.  The result is then G's
+    marginal table over them, axes in ascending node order, whose sum is Z
+    (the ring's zero when Z = 0).
     """
-    n_states = instance.model.n_states
-    n_nodes = instance.graph.n_nodes
-    edges = instance.graph.edges.tolist()
-    order, width = _elimination_order(n_nodes, edges)
+    n_nodes, n_states = node_factors.shape
+    order, width = _elimination_order(n_nodes, edges, keep)
     if n_states ** width > cap:
         raise StateSpaceCapError(
             f"elimination needs a factor over {width} nodes: "
@@ -234,10 +265,8 @@ def _eliminate(instance: Instance, ring: _Semiring, cap: int):
     # A factor is (scope, table): scope lists elimination positions in
     # ascending order and the table has one axis per scope entry, so a
     # factor always sits in the bucket of its first scope entry.
-    lengths = instance.model.domain.lengths
-    node_factors = ring.lift(instance.potentials.node_tables * lengths)
     buckets = [[((position[u],), node_factors[u])] for u in order]
-    for edge, table in zip(edges, ring.lift(instance.potentials.edge_tables)):
+    for edge, table in zip(edges, edge_factors):
         axes = [position[u] for u in edge]
         scope = sorted(set(axes))
         # einsum labels must be small: label each axis by its rank in scope.
@@ -245,23 +274,23 @@ def _eliminate(instance: Instance, ring: _Semiring, cap: int):
         table = np.einsum(table, [scope.index(a) for a in axes], range(len(scope)))
         buckets[scope[0]].append((tuple(scope), table))
 
+    n_out = n_nodes - len(keep)
     scales = []
-    for i in range(n_nodes):
+    for i in range(n_out):
         scope = sorted(set().union(*(s for s, _ in buckets[i])))
-        tables = []
-        for s, table in buckets[i]:
-            shape = [1] * len(scope)
-            for a in s:
-                shape[scope.index(a)] = n_states
-            tables.append(table.reshape(shape))
-        message = ring.sum0(functools.reduce(ring.mul, tables))
+        message = ring.sum0(_product(buckets[i], scope, ring, n_states))
         scale = message.max()
         if scale == ring.zero:
             return ring.zero  # every assignment of the scope has weight 0
         scales.append(scale)
         if len(scope) > 1:
             buckets[scope[1]].append((tuple(scope[1:]), ring.div(message, scale)))
-    return ring.combine(scales)
+    if not keep:
+        return ring.combine(scales)
+    # Every factor left sits in a kept node's bucket and has only kept nodes.
+    rest = [factor for bucket in buckets[n_out:] for factor in bucket]
+    return ring.mul(_product(rest, range(n_out, n_nodes), ring, n_states),
+                    ring.combine(scales))
 
 
 def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
@@ -274,18 +303,42 @@ def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
     Each message is shifted to peak at 0 and log Z is the exact sum
     (``math.fsum``) of the shifts, so rounding does not grow with log Z.
     """
-    return LogZ(_eliminate(instance, _LOG, cap))
+    return LogZ(_eliminate(*_factors(instance, _LOG), _LOG, cap))
 
 
-def z_exact_rational(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> Fraction:
+def z_exact_rational(instance: Instance) -> Fraction:
     """Exact Z as a rational, by the same elimination plan as log_z_exact.
 
-    Every float table entry is read as the exact rational it denotes, and
-    sums and products are exact.  The node factor is the float product of
-    node potential and cell length, which is exact for Discrete domains and
-    unit cells.
+    Every float potential and cell length is read as the exact rational it
+    denotes, and sums and products are exact.
     """
-    return _eliminate(instance, _RATIONAL, cap)
+    return _eliminate(*_factors(instance, _RATIONAL), _RATIONAL, DEFAULT_STATE_CAP)
+
+
+def z_exact_rational_edge_added(instance: Instance,
+                                tables: Sequence[np.ndarray]) -> dict:
+    """Exact Z(G + e) for an extra edge e at every K-tuple of nodes.
+
+    Returns {(placement, t): Z} where the extra edge sits at ``placement``
+    with potential table ``tables[t]``.  Z(G + e) is the sum of the edge
+    table times the marginal table of G over the edge's nodes, and one
+    elimination pass gives that table for each set of nodes.
+    """
+    nodes, edges, edge_factors = _factors(instance, _RATIONAL)
+    extra = [_RATIONAL.lift(np.asarray(table, dtype=float)) for table in tables]
+    marginals: dict = {}
+    out = {}
+    for placement in product(range(instance.graph.n_nodes), repeat=instance.model.arity):
+        scope = tuple(sorted(set(placement)))
+        if scope not in marginals:
+            marginals[scope] = _eliminate(nodes, edges, edge_factors, _RATIONAL,
+                                          DEFAULT_STATE_CAP, keep=scope)
+        # A node repeated in the placement collapses the table to its diagonal.
+        labels = [scope.index(u) for u in placement]
+        for t, table in enumerate(extra):
+            out[placement, t] = (np.einsum(table, labels, range(len(scope)))
+                                 * marginals[scope]).sum()
+    return out
 
 
 # ---------------------------------------------------------------------------

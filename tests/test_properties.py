@@ -3,6 +3,7 @@ rational) against the rational oracle, component factorization at the
 disjoint-union endpoint, and invariance under the discrete-to-continuous
 embedding."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from gibbslab import (
     Hypergraph,
     Instance,
     InterpolationPoint,
+    PiecewiseContinuous,
     PotentialDraws,
+    add_edge,
     build_model,
     edge_count,
     embed_discrete,
@@ -23,6 +26,7 @@ from gibbslab import (
     replace_node_table,
     sample_interpolated,
     z_exact_rational,
+    z_exact_rational_edge_added,
 )
 
 from naive import naive_log_z, naive_z
@@ -101,6 +105,33 @@ def test_exact_matches_rational_oracle(inst):
         assert got == -math.inf
     else:
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@PROPERTY
+@given(oracle_instances(), st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3))
+def test_rational_z_is_exact_on_uneven_cells(inst, widths):
+    """Cell lengths such as 0.1 round when multiplied by a potential in
+    floats; the rational evaluator multiplies them as rationals."""
+    cuts = np.cumsum([0.0] + widths[:inst.model.n_states]).tolist()
+    domain = PiecewiseContinuous(tuple(zip(cuts[:-1], cuts[1:])))
+    inst = Instance(inst.graph, inst.potentials,
+                    dataclasses.replace(inst.model, domain=domain))
+    assert z_exact_rational(inst) == naive_z(inst)
+
+
+@PROPERTY
+@given(oracle_instances(max_assignments=32), SEEDS)
+def test_edge_added_matches_rational_oracle(inst, seed):
+    """Z(G + e) for the extra edge at every K-tuple, repeated nodes included,
+    under random tables with zeros."""
+    rng = np.random.default_rng(seed)
+    shape = (inst.model.n_states,) * inst.model.arity
+    tables = [np.where(rng.random(shape) < 0.2, 0.0, rng.uniform(0.1, 2.0, shape))
+              for _ in range(2)]
+    got = z_exact_rational_edge_added(inst, tables)
+    assert len(got) == 2 * inst.graph.n_nodes ** inst.model.arity
+    for (placement, t), z in got.items():
+        assert z == naive_z(add_edge(inst, placement, tables[t]))
 
 
 @PROPERTY

@@ -87,4 +87,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -267,14 +267,11 @@ def min_alpha_psd(j: np.ndarray, j_max: float,
 # ---------------------------------------------------------------------------
 
 def expected_alpha_minus_j_tensor(model: ModelSpec, alpha: float,
-                                  x_rows: Sequence[Sequence[int]],
-                                  mode: str = "exact", trials: int = 1000,
-                                  seed: int = 0) -> KArray:
+                                  x_rows: Sequence[Sequence[int]]) -> KArray:
     """E tensor_{l<=r} (alpha - J(x^l_{i_1}, ..., x^l_{i_K})), shared J draw.
 
-    The same copy of J enters every replica factor; the expectation sums the
-    finite support of the edge law exactly (mode "exact") or averages
-    ``trials`` draws (mode "mc").
+    The same copy of J enters every replica factor; the expectation is the
+    exact probability-weighted sum over the finite support of the edge law.
     """
     x = np.asarray(x_rows, dtype=np.int64)
     if x.ndim != 2:
@@ -283,24 +280,11 @@ def expected_alpha_minus_j_tensor(model: ModelSpec, alpha: float,
     if x.size and (x.min() < 0 or x.max() >= model.n_states):
         raise ValueError("x_rows entries outside the spin domain")
     k = model.arity
-
-    def factors(table: np.ndarray) -> list[KArray]:
-        return [KArray(alpha - table[np.ix_(*([x[l]] * k))]) for l in range(r)]
-
-    if mode == "exact":
-        if not model.edge_pot.finite_support:
-            raise ValueError("exact mode needs a finite-support edge law")
-        acc = np.zeros((n ** r,) * k)
-        for table, prob in model.edge_pot.support:
-            acc += prob * tensor_product(factors(table)).data
-        return KArray(acc)
-    if mode == "mc":
-        rng = substream(seed, FALSIFY, 1)
-        acc = np.zeros((n ** r,) * k)
-        for _ in range(trials):
-            acc += tensor_product(factors(model.edge_pot.draw(rng))).data
-        return KArray(acc / trials)
-    raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    acc = np.zeros((n ** r,) * k)
+    for table, prob in model.edge_pot.support:
+        factors = [KArray(alpha - table[np.ix_(*([x[l]] * k))]) for l in range(r)]
+        acc += prob * tensor_product(factors).data
+    return KArray(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -272,15 +272,16 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
         raise ValueError("exact moment check is limited to N <= 8, 1 <= r <= 3")
     if not isinstance(model.domain, Discrete):
         raise ValueError("exact moment check needs a discrete model")
-    if not model.edge_pot.finite_support:
-        raise ValueError("exact moment check needs a finite-support edge law")
     if g0.graph.n_nodes != n_nodes:
         raise ValueError("base instance does not match n_nodes")
     if g0.model is not model and g0.model.name != model.name:
         raise ValueError("base instance was drawn under a different model")
     if not 1 <= n1 <= n_nodes:
         raise ValueError("need 1 <= n1 <= n_nodes")
-    alpha_f = Fraction(float(model.soft.alpha if alpha is None else alpha))
+    alpha = float(model.soft.alpha if alpha is None else alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    alpha_f = Fraction(alpha)
     k = model.arity
 
     z0 = z_exact_rational(g0)

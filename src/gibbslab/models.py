@@ -1,9 +1,9 @@
 """Spin domains, potential specifications, and the example model zoo.
 
 A model bundles a spin domain (discrete colors or a finite partition of the
-real line), a node-potential law, an edge-potential law of arity K, and the
-soft-state constants (kappa, rho_min, rho_max, J_max, alpha) under which the
-log-partition bounds and perturbation lemmas hold.
+real line), a fixed node table, a finite edge-potential law of arity K, and
+the soft-state constants (kappa, rho_min, rho_max, J_max, alpha) under which
+the log-partition bounds and perturbation lemmas hold.
 
 Discrete colors are 0..q-1 internally; the +/-1 spin encodings used by the
 Ising, Viana-Bray and XOR models are presentation-level maps c -> 2c-1.
@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .seeds import EDGE_POTENTIALS, NODE_POTENTIALS, substream
+from .seeds import EDGE_POTENTIALS, substream
 
 __all__ = [
     "Discrete",
@@ -120,88 +120,63 @@ SpinDomain = Union[Discrete, PiecewiseContinuous]
 
 @dataclass(frozen=True)
 class NodePotentialSpec:
-    """Law of the node potential h, as a table over domain states.
+    """The node potential h: one fixed, non-negative table over domain states."""
 
-    ``table`` is the deterministic case (a singleton law).  A random law
-    supplies ``sampler``, which maps a Generator to a fresh table.  Every
-    drawn table must be non-negative and vanish outside the support states.
-    """
-
-    table: Optional[np.ndarray] = None
-    sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
+    table: np.ndarray
 
     def __post_init__(self):
-        if (self.table is None) == (self.sampler is None):
-            raise ModelConfigError("exactly one of table/sampler must be given")
-        if self.table is not None:
-            t = np.asarray(self.table, dtype=float)
-            if np.any(t < 0) or not np.all(np.isfinite(t)):
-                raise ModelConfigError("node potential table must be finite and >= 0")
-            object.__setattr__(self, "table", t)
-
-    @property
-    def deterministic(self) -> bool:
-        return self.table is not None
-
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        if self.table is not None:
-            return self.table
-        return np.asarray(self.sampler(rng), dtype=float)
+        t = np.asarray(self.table, dtype=float)
+        if np.any(t < 0) or not np.all(np.isfinite(t)):
+            raise ModelConfigError("node potential table must be finite and >= 0")
+        object.__setattr__(self, "table", t)
 
 
 @dataclass(frozen=True)
 class EdgePotentialSpec:
     """Law of the edge potential J over K-tuples of domain states.
 
-    ``support`` lists (table, probability) pairs for a finite law, which is
-    what the exact expectation operators consume.  All six zoo models have
-    finite support: deterministic kernels are singletons, K-SAT has 2^K
-    equally likely sign tuples, Viana-Bray one table per value of I.
+    ``support`` lists the (table, probability) pairs of a finite law, which
+    the exact expectation operators sum over.  Deterministic kernels are
+    singletons, K-SAT has 2^K equally likely sign tuples, Viana-Bray one
+    table per value of I.
     """
 
     arity: int
-    support: Optional[tuple[tuple[np.ndarray, float], ...]] = None
-    sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
+    support: tuple[tuple[np.ndarray, float], ...]
 
     def __post_init__(self):
         if self.arity < 2:
             raise ModelConfigError(f"edge arity must be >= 2, got {self.arity}")
-        if (self.support is None) == (self.sampler is None):
-            raise ModelConfigError("exactly one of support/sampler must be given")
-        if self.support is not None:
-            norm = []
-            total = 0.0
-            for table, prob in self.support:
-                t = np.asarray(table, dtype=float)
-                if t.ndim != self.arity:
-                    raise ModelConfigError(
-                        f"support table has order {t.ndim}, expected {self.arity}")
-                if np.any(t < 0) or not np.all(np.isfinite(t)):
-                    raise ModelConfigError("edge potential tables must be finite and >= 0")
-                if prob <= 0:
-                    raise ModelConfigError("support probabilities must be positive")
-                norm.append((t, float(prob)))
-                total += prob
-            if abs(total - 1.0) > 1e-12:
-                raise ModelConfigError(f"support probabilities sum to {total}, not 1")
-            object.__setattr__(self, "support", tuple(norm))
+        norm = []
+        total = 0.0
+        for table, prob in self.support:
+            t = np.asarray(table, dtype=float)
+            if t.ndim != self.arity:
+                raise ModelConfigError(
+                    f"support table has order {t.ndim}, expected {self.arity}")
+            if np.any(t < 0) or not np.all(np.isfinite(t)):
+                raise ModelConfigError("edge potential tables must be finite and >= 0")
+            if prob <= 0:
+                raise ModelConfigError("support probabilities must be positive")
+            norm.append((t, float(prob)))
+            total += prob
+        if abs(total - 1.0) > 1e-12:
+            raise ModelConfigError(f"support probabilities sum to {total}, not 1")
+        object.__setattr__(self, "support", tuple(norm))
 
     @property
     def deterministic(self) -> bool:
-        return self.support is not None and len(self.support) == 1
+        return len(self.support) == 1
 
-    @property
-    def finite_support(self) -> bool:
-        return self.support is not None
+    def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Support indices of ``size`` i.i.d. draws; a one-table law draws nothing."""
+        if self.deterministic:
+            return np.zeros(size, dtype=np.intp)
+        return rng.choice(len(self.support), size=size,
+                          p=[p for _, p in self.support])
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
-        if self.support is not None:
-            if len(self.support) == 1:
-                return self.support[0][0]
-            probs = [p for _, p in self.support]
-            idx = rng.choice(len(self.support), p=probs)
-            return self.support[idx][0]
-        return np.asarray(self.sampler(rng), dtype=float)
+        return self.support[self.draw_indices(rng, 1)[0]][0]
 
 
 @dataclass(frozen=True)
@@ -219,7 +194,6 @@ class SoftStateParams:
     rho_max: float
     j_max: float
     alpha: float
-    omega_h: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if not (0 < self.rho_min <= self.rho_max):
@@ -274,14 +248,6 @@ class PotentialDraws:
 
     node_tables: np.ndarray   # (N, n_states)
     edge_tables: np.ndarray   # (M, n_states, ..., n_states), order = arity
-
-    @property
-    def n_nodes(self) -> int:
-        return self.node_tables.shape[0]
-
-    @property
-    def n_edges(self) -> int:
-        return self.edge_tables.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +339,7 @@ def build_model(name: str, **params) -> ModelSpec:
         j = np.ones((2, 2))
         j[1, 1] = 0.0
         soft = SoftStateParams(kappa=1.0, rho_min=min(lam, 1.0), rho_max=1.0 + lam,
-                               j_max=1.0, alpha=1.0, omega_h=((0.0, 2.0),))
+                               j_max=1.0, alpha=1.0)
         spec = ModelSpec(name, Discrete(2),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(2, support=((j, 1.0),)),
@@ -391,8 +357,7 @@ def build_model(name: str, **params) -> ModelSpec:
         # sup J = 1 for beta >= 0; rho_max = max(q*max h, j_max) keeps the
         # soft-state witness valid for every beta.
         soft = SoftStateParams(kappa=float(q - 1), rho_min=min(1.0, math.exp(-beta)),
-                               rho_max=float(q), j_max=1.0, alpha=1.0,
-                               omega_h=((0.0, float(q)),))
+                               rho_max=float(q), j_max=1.0, alpha=1.0)
         spec = ModelSpec(name, Discrete(q),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(2, support=((j, 1.0),)),
@@ -411,8 +376,7 @@ def build_model(name: str, **params) -> ModelSpec:
         jmax = eb
         rho_max = max(2.0 * max(1.0, hval), jmax)
         soft = SoftStateParams(kappa=1.0, rho_min=min(1.0, hval, 1.0 / eb),
-                               rho_max=rho_max, j_max=jmax, alpha=jmax,
-                               omega_h=((0.0, 2.0),))
+                               rho_max=rho_max, j_max=jmax, alpha=jmax)
         spec = ModelSpec(name, Discrete(2),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(2, support=((j, 1.0),)),
@@ -444,8 +408,7 @@ def build_model(name: str, **params) -> ModelSpec:
         # All colors are soft (J >= exp(-beta*c_I) > 0 everywhere): kappa = q.
         soft = SoftStateParams(kappa=2.0,
                                rho_min=min(1.0, hval, math.exp(-beta * c_i)),
-                               rho_max=rho_max, j_max=jmax, alpha=jmax,
-                               omega_h=((0.0, 2.0),))
+                               rho_max=rho_max, j_max=jmax, alpha=jmax)
         spec = ModelSpec(name, Discrete(2),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(k, support=_vb_tables(k, beta, i_values, i_probs)),
@@ -460,7 +423,7 @@ def build_model(name: str, **params) -> ModelSpec:
             raise ModelConfigError(f"ksat needs beta >= 0, got {beta}")
         h = np.ones(2)
         soft = SoftStateParams(kappa=2.0, rho_min=math.exp(-beta), rho_max=2.0,
-                               j_max=1.0, alpha=1.0, omega_h=((0.0, 2.0),))
+                               j_max=1.0, alpha=1.0)
         spec = ModelSpec(name, Discrete(2),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(k, support=_ksat_tables(k, beta)),
@@ -536,7 +499,7 @@ def soft_params_discrete(j: np.ndarray, h: np.ndarray,
     j_max = float(j.max())
     rho_max = max(j_max, q * float(h.max()))
     return SoftStateParams(kappa=1.0, rho_min=rho_min, rho_max=rho_max,
-                           j_max=j_max, alpha=j_max, omega_h=((0.0, float(q)),))
+                           j_max=j_max, alpha=j_max)
 
 
 # ---------------------------------------------------------------------------
@@ -579,55 +542,31 @@ def gaussian_kernel_potential(half_width: float = 6.0,
 # ---------------------------------------------------------------------------
 
 def draw_potentials(model: ModelSpec, graph, seed: int) -> PotentialDraws:
-    """Draw i.i.d. node and edge potentials for every node/edge of ``graph``.
+    """Attach potentials to every node and edge of ``graph``.
 
-    Node and edge draws come from independent substreams of ``seed`` and are
-    deterministic given (model, graph shape, seed).
+    Every node gets the fixed node table.  Edge tables are i.i.d. draws from
+    the finite edge law on the EDGE_POTENTIALS substream of ``seed``, so they
+    are deterministic given (model, number of edges, seed).
     """
     if graph.arity != model.arity:
         raise ModelConfigError(
             f"graph arity {graph.arity} != model arity {model.arity}")
-    n, m = graph.n_nodes, graph.n_edges
-    rng_nodes = substream(seed, NODE_POTENTIALS)
-    rng_edges = substream(seed, EDGE_POTENTIALS)
-    node_tables = np.stack([model.node_pot.draw(rng_nodes) for _ in range(n)]) \
-        if n else np.zeros((0, model.n_states))
-    shape = (model.n_states,) * model.arity
-    edge_tables = np.stack([model.edge_pot.draw(rng_edges) for _ in range(m)]) \
-        if m else np.zeros((0,) + shape)
-    return PotentialDraws(node_tables=node_tables, edge_tables=edge_tables)
+    edge_pot = model.edge_pot
+    idx = edge_pot.draw_indices(substream(seed, EDGE_POTENTIALS), graph.n_edges)
+    tables = np.stack([table for table, _ in edge_pot.support])
+    return PotentialDraws(node_tables=np.tile(model.node_pot.table, (graph.n_nodes, 1)),
+                          edge_tables=tables[idx])
 
 
 # ---------------------------------------------------------------------------
 # Soft-state verification
 # ---------------------------------------------------------------------------
 
-def _iter_node_tables(model: ModelSpec, n_random: int, seed: int):
-    if model.node_pot.deterministic:
-        yield model.node_pot.table
-    else:
-        rng = substream(seed, NODE_POTENTIALS)
-        for _ in range(n_random):
-            yield model.node_pot.draw(rng)
-
-
-def _iter_edge_tables(model: ModelSpec, n_random: int, seed: int):
-    if model.edge_pot.finite_support:
-        for table, _ in model.edge_pot.support:
-            yield table
-    else:
-        rng = substream(seed, EDGE_POTENTIALS)
-        for _ in range(n_random):
-            yield model.edge_pot.draw(rng)
-
-
-def verify_soft_state(model: ModelSpec, rel_tol: float = 1e-12,
-                      n_random: int = 64, seed: int = 0) -> list[str]:
+def verify_soft_state(model: ModelSpec, rel_tol: float = 1e-12) -> list[str]:
     """Exhaustively check the soft-state assumption against the stored constants.
 
     Returns a list of human-readable violations (empty means the assumption
-    holds).  Finite-support laws are checked over their whole support;
-    sampler-based laws over ``n_random`` draws.
+    holds).  The node table and every table of the edge law are checked.
     """
     soft = model.soft
     lengths = model.domain.lengths
@@ -639,17 +578,16 @@ def verify_soft_state(model: ModelSpec, rel_tol: float = 1e-12,
         problems.append("no state lies inside the soft region [0, kappa)")
         return problems
 
-    for h in _iter_node_tables(model, n_random, seed):
-        mass = float(np.dot(h, lengths))
-        soft_mass = float(np.dot(h[soft_idx], lengths[soft_idx]))
-        if soft_mass < soft.rho_min - slack:
-            problems.append(
-                f"soft node mass {soft_mass} < rho_min {soft.rho_min}")
-        if mass > soft.rho_max + slack:
-            problems.append(f"node mass {mass} > rho_max {soft.rho_max}")
+    h = model.node_pot.table
+    mass = float(np.dot(h, lengths))
+    soft_mass = float(np.dot(h[soft_idx], lengths[soft_idx]))
+    if soft_mass < soft.rho_min - slack:
+        problems.append(f"soft node mass {soft_mass} < rho_min {soft.rho_min}")
+    if mass > soft.rho_max + slack:
+        problems.append(f"node mass {mass} > rho_max {soft.rho_max}")
 
     soft_set = set(int(i) for i in soft_idx)
-    for table in _iter_edge_tables(model, n_random, seed):
+    for table, _ in model.edge_pot.support:
         if float(table.max()) > soft.j_max + slack:
             problems.append(f"sup J {table.max()} > j_max {soft.j_max}")
         # Soft interaction: tuples with any soft coordinate stay >= rho_min.

@@ -2,8 +2,8 @@
 
 Every random quantity in the package is drawn from a substream identified by
 a master seed plus an integer path, so independent components (graph edges,
-node potentials, edge potentials, per-sample replicas, Monte Carlo shards)
-never share generator state.  Substreams are stable across process and worker
+edge potentials, per-sample replicas, Monte Carlo shards) never share
+generator state.  Substreams are stable across process and worker
 boundaries, which is what makes experiment replay bit-identical.
 """
 
@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 # Fixed purpose tags for the first path component.  New tags must never reuse
-# an existing value.
+# an existing value, retired ones included.
 GRAPH = 0
-NODE_POTENTIALS = 1
+NODE_POTENTIALS = 1  # retired: node tables are fixed and draw nothing
 EDGE_POTENTIALS = 2
 SAMPLE = 3
 MC_SHARD = 4

@@ -96,6 +96,10 @@ class TestUsageErrors:
          "--n1", "1", "--r", "1"),
         ("moments", "--model", "independent_set", "--lambda", "1", "--n", "3",
          "--n1", "1", "--r", "1", "--g0-edges", "-1"),
+        ("moments", "--model", "ksat", "--k", "2", "--beta", "0.5", "--n", "3",
+         "--n1", "1", "--r", "2", "--alpha", "inf"),
+        ("moments", "--model", "ksat", "--k", "2", "--beta", "0.5", "--n", "3",
+         "--n1", "1", "--r", "2", "--alpha", "nan"),
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         """Bad input is a usage error, never a traceback or a verdict."""

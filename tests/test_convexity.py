@@ -221,23 +221,6 @@ class TestExpectedTensor:
         arr = expected_alpha_minus_j_tensor(m, 1.0, [[0, 1]])
         np.testing.assert_allclose(arr.data, 1.0 - IS_KERNEL)
 
-    def test_requires_finite_support_for_exact(self):
-        from gibbslab.models import EdgePotentialSpec
-        from dataclasses import replace
-        m = build_model("independent_set", **{"lambda": 1.0})
-        sampler = lambda rng: np.ones((2, 2))  # noqa: E731
-        m2 = replace(m, edge_pot=EdgePotentialSpec(2, sampler=sampler))
-        with pytest.raises(ValueError):
-            expected_alpha_minus_j_tensor(m2, 1.0, [[0, 1]])
-
-    def test_mc_mode_approaches_exact(self):
-        m = build_model("ksat", k=2, beta=0.7)
-        x = [[0, 1], [1, 0]]
-        exact = expected_alpha_minus_j_tensor(m, 1.0, x)
-        approx = expected_alpha_minus_j_tensor(m, 1.0, x, mode="mc", trials=4000,
-                                               seed=2)
-        assert float(np.abs(exact.data - approx.data).max()) < 0.05
-
     def test_vb_odd_moments_vanish_exactly(self):
         for r in (1, 3, 5):
             assert vb_f2_moment(0.8, [1.0, -1.0], [0.5, 0.5], r) == 0.0

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import merge_low_bins
@@ -83,11 +85,16 @@ class TestSampleEr:
 
 
 class TestInterpolated:
-    def test_t0_is_plain_ensemble(self):
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), c=st.floats(0.05, 4.0), k=st.integers(2, 4),
+           data=st.data(), seed=st.integers(0, 2 ** 64 - 1))
+    def test_t0_is_plain_ensemble(self, n, c, k, data, seed):
         """t = 0 (all edges global) is bit-identical to sample_er."""
-        point = InterpolationPoint(0, 6, 4)
-        a = sample_interpolated(10, 1.2, 2, point, seed=3)
-        b = sample_er(10, 1.2, 2, seed=3)
+        n1 = data.draw(st.integers(1, n))
+        point = InterpolationPoint(0, n1, n - n1)
+        a = sample_interpolated(n, c, k, point, seed=seed)
+        b = sample_er(n, c, k, seed=seed)
+        assert a.edges.dtype == b.edges.dtype
         np.testing.assert_array_equal(a.edges, b.edges)
 
     def test_full_block_degenerate_split(self):

@@ -4,7 +4,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbslab import (
     ZOO_MODELS,
@@ -32,6 +35,7 @@ from gibbslab.harness import (
 )
 from gibbslab.models import model_from_config, model_to_config
 
+from conftest import random_zoo_model
 from naive import naive_z
 
 IS1 = build_model("independent_set", **{"lambda": 1.0})
@@ -57,9 +61,17 @@ class TestEstimateMeanLogz:
         pooled = math.hypot(a.std_error, b.std_error)
         assert abs(a.mean - b.mean) <= 4 * pooled
 
-    def test_worker_count_bit_identical(self):
-        a = estimate_mean_logz(IS1, 6, 1, samples=60, seed=7)
-        b = estimate_mean_logz(IS1, 6, 1, samples=60, seed=7, n_workers=2)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(model_seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 10),
+           c=st.sampled_from(["0.5", "1", "1.5"]), samples=st.integers(4, 40),
+           seed=st.integers(0, 2 ** 64 - 1), interpolated=st.booleans())
+    def test_worker_count_bit_identical(self, model_seed, n, c, samples, seed,
+                                        interpolated):
+        """One worker and two give the same mean and SE, bit for bit."""
+        model = random_zoo_model(np.random.default_rng(model_seed))
+        point = InterpolationPoint(1, n // 2, n - n // 2) if interpolated else None
+        a = estimate_mean_logz(model, n, c, samples, seed, point, n_workers=1)
+        b = estimate_mean_logz(model, n, c, samples, seed, point, n_workers=2)
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_interpolation_point_accepted(self):
@@ -198,6 +210,12 @@ class TestMomentInequality:
             moment_inequality_check(IS1, 9, 1, 2, g0)
         with pytest.raises(ValueError):
             moment_inequality_check(IS1, 3, 1, 4, g0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        g0 = random_base_instance(IS1, 3, 2, seed=5)
+        with pytest.raises(ValueError, match="alpha"):
+            moment_inequality_check(IS1, 3, 1, 2, g0, alpha=alpha)
 
     def test_base_instance_sizes_rejected(self):
         with pytest.raises(ValueError, match="n_nodes"):

@@ -25,6 +25,7 @@ from gibbslab import (
 )
 from gibbslab.convexity import vb_decomposition_max_error
 from gibbslab.models import model_from_config, model_to_config
+from gibbslab.seeds import EDGE_POTENTIALS, substream
 
 from conftest import random_zoo_model
 
@@ -204,6 +205,36 @@ class TestDraws:
         with pytest.raises(ModelConfigError):
             draw_potentials(m, graph, 0)
 
+    @pytest.mark.parametrize("model", [
+        build_model("independent_set", **{"lambda": 0.7}),
+        build_model("potts", q=3, beta=0.4),
+        build_model("ising", beta=0.5, h=1.3),
+        build_model("viana_bray", k=3, beta=0.6, h=0.9,
+                    i_values=[1.0, 0.5, -0.5, -1.0], i_probs=[0.2, 0.3, 0.3, 0.2]),
+        build_model("xor", k=2, beta=0.6),
+        build_model("ksat", k=3, beta=0.5),
+        embed_discrete(build_model("ksat", k=2, beta=0.8)),
+    ], ids=lambda m: m.name)
+    @pytest.mark.parametrize("m_edges", [0, 1, 37])
+    def test_draw_order_pinned(self, model, m_edges):
+        """Replay depends on this order: edge e gets the e-th single draw
+        rng.choice(len(support), p=probs) from the EDGE_POTENTIALS substream
+        (none for a one-table law), and every node gets the node table."""
+        seed = 2 ** 70 + 11
+        edges = np.random.default_rng(m_edges).integers(0, 5, size=(m_edges, model.arity))
+        draws = draw_potentials(model, Hypergraph(5, model.arity, edges), seed)
+        support = model.edge_pot.support
+        rng = substream(seed, EDGE_POTENTIALS)
+        probs = [p for _, p in support]
+        expected = [support[rng.choice(len(support), p=probs) if len(support) > 1 else 0][0]
+                    for _ in range(m_edges)]
+        assert draws.edge_tables.shape == (m_edges,) + (model.n_states,) * model.arity
+        for got, want in zip(draws.edge_tables, expected):
+            np.testing.assert_array_equal(got, want)
+        assert draws.node_tables.shape == (5, model.n_states)
+        for row in draws.node_tables:
+            np.testing.assert_array_equal(row, model.node_pot.table)
+
 
 class TestSoftStateAssumption:
     def test_zoo_models_verify(self):
@@ -228,7 +259,7 @@ class TestSoftStateAssumption:
     def test_violation_detected(self):
         m = build_model("independent_set", **{"lambda": 1.0})
         bad_soft = SoftStateParams(kappa=1.0, rho_min=1.5, rho_max=2.0,
-                                   j_max=1.0, alpha=1.0, omega_h=((0.0, 2.0),))
+                                   j_max=1.0, alpha=1.0)
         from dataclasses import replace
         assert verify_soft_state(replace(m, soft=bad_soft)) != []
 

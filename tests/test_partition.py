@@ -42,7 +42,7 @@ def _graph(n, edges, k=2):
 def _constant_model(rho: float) -> ModelSpec:
     """h = rho/2 per color and J = rho everywhere, so rho_min = rho_max."""
     soft = SoftStateParams(kappa=2.0, rho_min=rho, rho_max=rho, j_max=rho,
-                           alpha=rho, omega_h=((0.0, 2.0),))
+                           alpha=rho)
     return ModelSpec("constant", Discrete(2),
                      NodePotentialSpec(table=np.full(2, rho / 2.0)),
                      EdgePotentialSpec(2, support=((np.full((2, 2), rho), 1.0),)),
@@ -285,7 +285,7 @@ class TestContinuousModel:
         # soft region: cells inside [0, 0.5) interact with everything (J = 1
         # there since [0, 0.5) meets no zero class together with any class)
         soft = SoftStateParams(kappa=0.5, rho_min=1e-3, rho_max=4.0, j_max=1.0,
-                               alpha=1.0, omega_h=((-2.0, 2.0),))
+                               alpha=1.0)
         model = ModelSpec("talagrand_toy", domain,
                           NodePotentialSpec(table=h_table),
                           EdgePotentialSpec(2, support=((j_table, 1.0),)),
@@ -303,7 +303,7 @@ class TestContinuousModel:
                                      NodePotentialSpec, SoftStateParams)
         domain, h_table = gaussian_kernel_potential()
         soft = SoftStateParams(kappa=1.0, rho_min=1e-6, rho_max=4.0, j_max=1.0,
-                               alpha=1.0, omega_h=((-6.0, 6.0),))
+                               alpha=1.0)
         model = ModelSpec("gauss_pair", domain, NodePotentialSpec(table=h_table),
                           EdgePotentialSpec(2, support=((np.ones((512, 512)), 1.0),)),
                           soft, {})

@@ -33,6 +33,7 @@ from .graphs import (
     edge_count,
     graph_from_json,
     graph_to_json,
+    interpolation_chain,
     sample_er,
     sample_interpolated,
 )
@@ -87,4 +88,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"

@@ -242,7 +242,9 @@ def cli_run(argv) -> int:
         if args.command == "converge":
             return _cmd_converge(args)
     except StateSpaceCapError as exc:
-        print(f"error: {exc}; rerun with --mc", file=sys.stderr)
+        hint = ("rerun with --mc" if args.command == "logz"
+                else "use a smaller N or c")
+        print(f"error: {exc}; {hint}", file=sys.stderr)
         return 2
     except (models.ModelConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

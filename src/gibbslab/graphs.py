@@ -13,6 +13,9 @@ from one (M, K) block of uniforms plus one length-M block for the block
 choice, consumed identically at every t, so graphs at different interpolation
 steps under the same seed are coupled sample-by-sample (common random
 numbers) and sample_interpolated(t=0) is bit-identical to sample_er.
+``interpolation_chain`` returns all steps of one seed's chain from a single
+draw of those uniforms, through the same slot helpers as
+``sample_interpolated``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "edge_count",
     "sample_er",
     "sample_interpolated",
+    "interpolation_chain",
     "degree_stats",
     "degree_tail_probability",
     "graph_to_json",
@@ -148,6 +152,34 @@ def sample_er(n_nodes: int, c: EdgeDensity, arity: int, seed: int) -> Hypergraph
     return Hypergraph(n_nodes, arity, _nodes_from_uniforms(u, n_nodes))
 
 
+def _chain_slots(n_nodes: int, c: EdgeDensity, arity: int, n1: int,
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Global and block-restricted node tuples for every edge slot.
+
+    Row j of the first array is slot j's tuple over all N nodes; row j of
+    the second is its tuple inside block 1 (nodes [0, n1)) when v[j] < n1/N,
+    else inside block 2 (nodes [n1, N)); with n2 = 0, v < 1 always picks
+    block 1.  Both are elementwise in one draw of (u, v), so a slot's tuple
+    does not depend on how many slots are block-restricted.
+    """
+    if arity < 2:
+        raise ValueError(f"arity must be >= 2, got {arity}")
+    n2 = InterpolationPoint(0, n1, n_nodes - n1).n2  # validates the split
+    m = edge_count(n_nodes, c)
+    rng = substream(seed, GRAPH)
+    u = rng.random((m, arity))
+    v = rng.random(m)
+    block = np.where((v < n1 / n_nodes)[:, None], _nodes_from_uniforms(u, n1),
+                     n1 + _nodes_from_uniforms(u, max(n2, 1)))
+    return _nodes_from_uniforms(u, n_nodes), block
+
+
+def _chain_edges(glob: np.ndarray, block: np.ndarray, t: int) -> np.ndarray:
+    """Edges at chain step t: the first M - t global slots, then t block slots."""
+    g = glob.shape[0] - t
+    return np.concatenate([glob[:g], block[g:]])
+
+
 def sample_interpolated(n_nodes: int, c: EdgeDensity, arity: int,
                         point: InterpolationPoint, seed: int) -> Hypergraph:
     """Interpolated ensemble at chain step ``point.t``.
@@ -157,27 +189,24 @@ def sample_interpolated(n_nodes: int, c: EdgeDensity, arity: int,
     probability n1/N and is uniform over that block's tuples, otherwise
     block 2 (nodes [n1, N)).
     """
-    if arity < 2:
-        raise ValueError(f"arity must be >= 2, got {arity}")
     if point.n != n_nodes:
         raise ValueError(f"block sizes {point.n1}+{point.n2} != n_nodes {n_nodes}")
-    m = edge_count(n_nodes, c)
-    if point.t > m:
-        raise ValueError(f"t = {point.t} exceeds edge count {m}")
-    rng = substream(seed, GRAPH)
-    u = rng.random((m, arity))
-    v = rng.random(m)
+    glob, block = _chain_slots(n_nodes, c, arity, point.n1, seed)
+    if point.t > glob.shape[0]:
+        raise ValueError(f"t = {point.t} exceeds edge count {glob.shape[0]}")
+    return Hypergraph(n_nodes, arity, _chain_edges(glob, block, point.t))
 
-    edges = _nodes_from_uniforms(u, n_nodes)
-    g = m - point.t
-    if point.t and point.n2 > 0:
-        in_block1 = v[g:] < point.n1 / n_nodes
-        block1 = _nodes_from_uniforms(u[g:], point.n1)
-        block2 = point.n1 + _nodes_from_uniforms(u[g:], point.n2)
-        edges[g:] = np.where(in_block1[:, None], block1, block2)
-    elif point.t:
-        edges[g:] = _nodes_from_uniforms(u[g:], point.n1)
-    return Hypergraph(n_nodes, arity, edges)
+
+def interpolation_chain(n_nodes: int, c: EdgeDensity, arity: int, n1: int,
+                        seed: int) -> list[Hypergraph]:
+    """The whole coupled chain under one seed: graphs for t = 0..floor(c*N).
+
+    Entry t equals ``sample_interpolated`` at InterpolationPoint(t, n1,
+    N - n1) with the same seed; the uniforms are drawn once for all t.
+    """
+    glob, block = _chain_slots(n_nodes, c, arity, n1, seed)
+    return [Hypergraph(n_nodes, arity, _chain_edges(glob, block, t))
+            for t in range(glob.shape[0] + 1)]
 
 
 def degree_stats(graph: Hypergraph) -> DegreeStats:

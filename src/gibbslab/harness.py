@@ -6,6 +6,12 @@ for any worker count and any record can be replayed from its stored
 parameters.  Statistical pass thresholds (3 standard errors for
 monotonicity, slope <= -0.3 for the concentration proxy) are configuration;
 verdicts always carry the raw numbers.
+
+The coupled interpolation chain is computed sample-major: one task derives a
+sample's seed, draws its whole chain (``interpolation_chain``) and its
+potentials once, and evaluates log Z at every t.  Each experiment call opens
+at most one process pool, into which the sample blocks of all its chain
+steps or sizes go.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convexity import certify_model
-from .graphs import Hypergraph, InterpolationPoint, edge_count, sample_er, \
-    sample_interpolated
+from .graphs import Hypergraph, InterpolationPoint, edge_count, \
+    interpolation_chain, sample_er, sample_interpolated
 from .models import MODEL_PARAM_KEYS, Discrete, ModelSpec, decode_model
 from .partition import Instance, instance_from_json, instance_to_json, log_z_exact, \
     make_instance, z_exact_rational, z_exact_rational_edge_added
@@ -108,8 +114,9 @@ class ExperimentRecord:
 # Sampling E[log Z]
 # ---------------------------------------------------------------------------
 
-def _sample_task(payload) -> np.ndarray:
-    model, n_nodes, c, point, seed, lo, hi = payload
+def _sample_task(args: tuple, lo: int, hi: int) -> np.ndarray:
+    """log Z of samples lo..hi-1 at one interpolation point (None: plain)."""
+    model, n_nodes, c, point, seed = args
     out = np.empty(hi - lo)
     for i in range(lo, hi):
         s = derive_seed(seed, SAMPLE, i)
@@ -121,24 +128,47 @@ def _sample_task(payload) -> np.ndarray:
     return out
 
 
-def _logz_samples(model: ModelSpec, n_nodes: int, c, samples: int, seed: int,
-                  point: Optional[InterpolationPoint] = None,
-                  n_workers: Optional[int] = None) -> np.ndarray:
-    """Per-sample exact log Z values; index i uses the derived seed (seed, i).
+def _chain_task(args: tuple, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, m + 1) log Z values of samples lo..hi-1 along the chain.
 
-    The same (seed, i) pair yields the same edge-placement uniforms and
-    potential draws at every interpolation point, so estimates at different
-    points under one seed are coupled by common random numbers.
+    Sample i's seed, graph uniforms and potential draws are the same at
+    every t (the draws depend on the model, M = m and the seed only), so
+    each is made once per sample and only the eliminations run per t.
+    """
+    model, n_nodes, c, n1, seed = args
+    rows = []
+    for i in range(lo, hi):
+        s = derive_seed(seed, SAMPLE, i)
+        chain = interpolation_chain(n_nodes, c, model.arity, n1, s)
+        draws = make_instance(model, chain[0], s).potentials
+        rows.append([log_z_exact(Instance(graph, draws, model)).value
+                     for graph in chain])
+    return np.array(rows)
+
+
+def _map_blocks(task, jobs: Sequence[tuple], n_workers: Optional[int]) -> list:
+    """``task(args, lo, hi)`` over samples 0..n-1 of every (args, n) job.
+
+    Each job's samples are cut into about 4 blocks per worker; the blocks
+    of all jobs go through one ``map`` of one ProcessPoolExecutor, opened
+    only when there is more than one worker.  Each job's blocks are
+    concatenated in order.  Sample i's seed derives from i alone, so the
+    block boundaries and the worker count never change a result.
     """
     workers = resolve_workers(n_workers)
-    if workers <= 1 or samples < 4:
-        return _sample_task((model, n_nodes, c, point, seed, 0, samples))
-    step = max(1, math.ceil(samples / (4 * workers)))
-    bounds = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
-    payloads = [(model, n_nodes, c, point, seed, lo, hi) for lo, hi in bounds]
+    if workers <= 1 or sum(n for _, n in jobs) < 4:
+        return [task(args, 0, n) for args, n in jobs]
+    blocks = []
+    for j, (args, n) in enumerate(jobs):
+        step = max(1, math.ceil(n / (4 * workers)))
+        blocks += [(j, args, lo, min(lo + step, n)) for lo in range(0, n, step)]
+    _, block_args, los, his = zip(*blocks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_sample_task, payloads))
-    return np.concatenate(parts)
+        parts = list(pool.map(task, block_args, los, his))
+    out = [[] for _ in jobs]
+    for (j, *_), part in zip(blocks, parts):
+        out[j].append(part)
+    return [np.concatenate(p) for p in out]
 
 
 def _check_samples(samples: int, name: str = "samples") -> None:
@@ -147,12 +177,20 @@ def _check_samples(samples: int, name: str = "samples") -> None:
                          f"got {samples}")
 
 
+def _check_sizes(n_list: Sequence[int]) -> list[int]:
+    sizes = [int(n) for n in n_list]
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"n_list sizes must be at least 1, got {list(n_list)}")
+    return sizes
+
+
 def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int,
                        seed: int, point: Optional[InterpolationPoint] = None,
                        n_workers: Optional[int] = None) -> MeanEstimate:
     """Mean and standard error of log Z over fresh (graph, potentials) draws."""
     _check_samples(samples)
-    values = _logz_samples(model, n_nodes, c, samples, seed, point, n_workers)
+    values, = _map_blocks(_sample_task, [((model, n_nodes, c, point, seed), samples)],
+                          n_workers)
     return MeanEstimate(float(values.mean()),
                         _sample_std(values) / math.sqrt(samples),
                         samples, seed)
@@ -178,6 +216,10 @@ def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
     verdict passes when every consecutive difference is >= -se_factor times
     its (paired, when coupled) standard error.  Uncertified models require
     ``allow_uncertified`` and get a report-only verdict.
+
+    Coupled, sample i has the seed derived from (seed, i) at every t, so its
+    whole chain is one task (common random numbers).  Uncoupled, step t
+    samples under the seed derived from (seed, EXPERIMENT, t).
     """
     _check_samples(samples_per_t, "samples_per_t")
     certified = certify_model(model).certified
@@ -185,13 +227,15 @@ def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
         raise ValueError(f"model {model.name!r} is not certified; "
                          "pass allow_uncertified=True for a report-only run")
     m = edge_count(n_nodes, c)
-    n2 = n_nodes - n1
-    values = []
-    for t in range(m + 1):
-        point = InterpolationPoint(t, n1, n2)
-        seed_t = seed if couple else derive_seed(seed, EXPERIMENT, t)
-        values.append(_logz_samples(model, n_nodes, c, samples_per_t, seed_t,
-                                    point, n_workers))
+    points = [InterpolationPoint(t, n1, n_nodes - n1) for t in range(m + 1)]
+    if couple:
+        chain, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, seed),
+                                            samples_per_t)], n_workers)
+        values = list(np.ascontiguousarray(chain.T))  # one row per t
+    else:
+        values = _map_blocks(
+            _sample_task, [((model, n_nodes, c, point, derive_seed(seed, EXPERIMENT, t)),
+                            samples_per_t) for t, point in enumerate(points)], n_workers)
 
     results: dict = {}
     means = [float(v.mean()) for v in values]
@@ -331,19 +375,22 @@ def concentration_experiment(model: ModelSpec, n_list: Sequence[int], c,
     tail fraction P(|logZ/N - mean| > log(N)^3 / sqrt(N)) per size.
     """
     _check_samples(samples)
+    sizes = _check_sizes(n_list)
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"n_list has duplicate sizes: {sizes}")
+    jobs = [((model, n_nodes, c, None, derive_seed(seed, EXPERIMENT, idx)), samples)
+            for idx, n_nodes in enumerate(sizes)]
     results: dict = {}
     stds = []
-    for idx, n_nodes in enumerate(n_list):
-        values = _logz_samples(model, int(n_nodes), c, samples,
-                               derive_seed(seed, EXPERIMENT, idx),
-                               n_workers=n_workers) / float(n_nodes)
+    for n_nodes, logz in zip(sizes, _map_blocks(_sample_task, jobs, n_workers)):
+        values = logz / float(n_nodes)
         std = _sample_std(values)
         stds.append(std)
         radius = math.log(n_nodes) ** 3 / math.sqrt(n_nodes)
         tail = float(np.mean(np.abs(values - values.mean()) > radius))
         results[f"std_{n_nodes}"] = std
         results[f"tail_{n_nodes}"] = tail
-    usable = [(n, s) for n, s in zip(n_list, stds) if s > 0.0]
+    usable = [(n, s) for n, s in zip(sizes, stds) if s > 0.0]
     if len(usable) >= 2:
         xs = np.log([n for n, _ in usable])
         ys = np.log([s for _, s in usable])
@@ -352,7 +399,7 @@ def concentration_experiment(model: ModelSpec, n_list: Sequence[int], c,
         verdict = "pass" if slope <= slope_threshold else "fail"
     else:
         verdict = "report"
-    params = {**_model_record_params(model), "n_list": list(map(int, n_list)),
+    params = {**_model_record_params(model), "n_list": sizes,
               "c": str(c), "samples": samples, "seed": seed,
               "slope_threshold": slope_threshold}
     return ExperimentRecord("concentration", params, results, verdict)
@@ -373,13 +420,12 @@ def convergence_experiment(model: ModelSpec, n_list: Sequence[int], c,
     unknown.
     """
     _check_samples(samples)
-    sizes = sorted(set(int(n) for n in n_list))
+    sizes = sorted(set(_check_sizes(n_list)))
+    jobs = [((model, n_nodes, c, None, derive_seed(seed, EXPERIMENT, idx)), samples)
+            for idx, n_nodes in enumerate(sizes)]
     a: dict[int, float] = {}
     results: dict = {}
-    for idx, n_nodes in enumerate(sizes):
-        values = _logz_samples(model, n_nodes, c, samples,
-                               derive_seed(seed, EXPERIMENT, idx),
-                               n_workers=n_workers)
+    for n_nodes, values in zip(sizes, _map_blocks(_sample_task, jobs, n_workers)):
         a[n_nodes] = float(values.mean())
         results[f"a_{n_nodes}"] = a[n_nodes]
         results[f"a_se_{n_nodes}"] = _sample_std(values) / math.sqrt(samples)

@@ -257,7 +257,7 @@ def _eliminate(node_factors: np.ndarray, edges: list, edge_factors: np.ndarray,
     if n_states ** width > cap:
         raise StateSpaceCapError(
             f"elimination needs a factor over {width} nodes: "
-            f"{n_states}^{width} = {n_states ** width} entries exceed cap {cap}")
+            f"{n_states}^{width} entries exceed cap {cap}")
     position = [0] * n_nodes
     for i, u in enumerate(order):
         position[u] = i

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -71,7 +72,20 @@ class TestUsageErrors:
         """Dense 3-SAT at N = 60: elimination needs a factor over 51 nodes."""
         code, _, err = run(capsys, "logz", "--model", "ksat", "--k", "3",
                            "--beta", "0.5", "--n", "60", "--c", "10")
-        assert code == 2 and "--mc" in err
+        assert code == 2 and "--mc" in err and "2^51 entries" in err
+
+    @pytest.mark.parametrize("command", [
+        ("interpolate", "--n", "60", "--n1", "30", "--c", "10", "--samples", "2"),
+        ("concentrate", "--n-list", "60", "--c", "10", "--samples", "2"),
+        ("converge", "--n-list", "60", "--c", "10", "--samples", "2"),
+    ])
+    def test_experiment_beyond_cap_suggests_smaller_size(self, capsys, command):
+        """Only logz has --mc; the experiments point at N and c instead."""
+        code, out, err = run(capsys, *command, "--model", "ksat", "--k", "3",
+                             "--beta", "0.5")
+        assert code == 2 and out == ""
+        assert "--mc" not in err and "smaller N or c" in err
+        assert re.search(r"2\^\d+ entries exceed", err)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_bad_workers_env(self, capsys, monkeypatch, value):
@@ -92,6 +106,12 @@ class TestUsageErrors:
          "--n-list", "4,6", "--c", "1", "--samples", "1"),
         ("converge", "--model", "independent_set", "--lambda", "1",
          "--n-list", "4,8", "--c", "1", "--samples", "1"),
+        ("concentrate", "--model", "independent_set", "--lambda", "1",
+         "--n-list", "8,8", "--c", "1", "--samples", "4"),
+        ("concentrate", "--model", "independent_set", "--lambda", "1",
+         "--n-list", "0,6", "--c", "1", "--samples", "4"),
+        ("converge", "--model", "independent_set", "--lambda", "1",
+         "--n-list", "6,-2", "--c", "1", "--samples", "4"),
         ("moments", "--model", "independent_set", "--lambda", "1", "--n", "0",
          "--n1", "1", "--r", "1"),
         ("moments", "--model", "independent_set", "--lambda", "1", "--n", "3",

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from gibbslab import (
     embed_discrete,
     estimate_mean_logz,
     interpolation_monotonicity,
+    log_z_exact,
     moment_inequality_check,
     random_base_instance,
     replay_record,
     verify_replay,
 )
-from gibbslab.graphs import InterpolationPoint
+from gibbslab import harness
+from gibbslab.graphs import InterpolationPoint, edge_count
 from gibbslab.harness import (
     ExperimentRecord,
     append_record,
@@ -242,6 +245,22 @@ class TestConcentration:
         assert abs(a.results["slope"] - b.results["slope"]) <= 0.15
 
 
+class TestSizeLists:
+    @pytest.mark.parametrize("n_list", [[8, 8], [6, 4, 6]])
+    def test_concentration_rejects_duplicate_sizes(self, n_list):
+        """A repeated size would overwrite its own std and fit a slope from
+        one size."""
+        with pytest.raises(ValueError, match="n_list"):
+            concentration_experiment(IS1, n_list, 1, samples=4, seed=0)
+
+    @pytest.mark.parametrize("experiment", [concentration_experiment,
+                                            convergence_experiment])
+    @pytest.mark.parametrize("n_list", [[6, -2], [0, 4]])
+    def test_sizes_below_one_rejected(self, experiment, n_list):
+        with pytest.raises(ValueError, match="n_list"):
+            experiment(IS1, n_list, 1, samples=4, seed=0)
+
+
 class TestConvergence:
     def test_no_edges_constant_rate(self):
         m = build_model("ising", beta=0.2, h=1.0)
@@ -333,6 +352,68 @@ class TestRecordsAndReplay:
         rec = ExperimentRecord("bogus", {"model": "potts"}, {}, "report")
         with pytest.raises(ValueError):
             replay_record(rec)
+
+
+GOLDEN = Path(__file__).parent / "golden" / "records_v0_4_0.jsonl"
+
+
+class TestGoldenRecords:
+    """Records written by 0.4.0 must replay bit for bit: results may only
+    move with a version that says so.  The file holds coupled and uncoupled
+    hard-core chains at N = 6, a 3-SAT chain with N1 = N, a concentration
+    and a convergence record."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("index", range(5))
+    def test_v0_4_0_record_replays(self, index, n_workers):
+        record = read_records(str(GOLDEN))[index]
+        assert verify_replay(record, n_workers=n_workers)
+
+
+class CountingPool(harness.ProcessPoolExecutor):
+    created = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).created += 1
+        super().__init__(*args, **kwargs)
+
+
+class TestOnePoolPerExperiment:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(CountingPool, "created", 0)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        return CountingPool
+
+    @pytest.mark.parametrize("run", [
+        lambda: interpolation_monotonicity(IS1, 5, 2, 1, samples_per_t=12, seed=1,
+                                           n_workers=2),
+        lambda: interpolation_monotonicity(IS1, 5, 2, 1, samples_per_t=12, seed=1,
+                                           couple=False, n_workers=2),
+        lambda: concentration_experiment(IS1, [4, 5, 6], 1, samples=12, seed=2,
+                                         n_workers=2),
+        lambda: convergence_experiment(IS1, [3, 4, 7], 1, samples=12, seed=3,
+                                       n_workers=2),
+    ], ids=["coupled", "uncoupled", "concentration", "convergence"])
+    def test_two_workers_open_one_pool(self, pool, run):
+        run()
+        assert pool.created == 1
+
+    def test_coupled_chain_one_elimination_per_value(self, monkeypatch):
+        """A coupled chain evaluates log Z once per (sample, t), through the
+        name harness.log_z_exact, in this process when there is one worker."""
+        calls = []
+
+        def counting(instance, **kwargs):
+            calls.append(instance.graph.n_edges)
+            return log_z_exact(instance, **kwargs)
+
+        monkeypatch.setattr(harness, "log_z_exact", counting)
+        samples, n, c = 7, 6, "1.5"
+        interpolation_monotonicity(IS1, n, 2, c, samples_per_t=samples, seed=4,
+                                   n_workers=1)
+        m = edge_count(n, c)
+        assert calls == [m] * (samples * (m + 1))
 
 
 class TestWorkersEnv:

@@ -1,7 +1,8 @@
 """Property tests over random instances: the exact evaluators (log space and
 rational) against the rational oracle, component factorization at the
-disjoint-union endpoint, and invariance under the discrete-to-continuous
-embedding."""
+disjoint-union endpoint, invariance under the discrete-to-continuous
+embedding, and the sample-major interpolation chain against the per-point
+pipeline."""
 
 import dataclasses
 import math
@@ -21,6 +22,7 @@ from gibbslab import (
     build_model,
     edge_count,
     embed_discrete,
+    interpolation_chain,
     log_z_exact,
     make_instance,
     replace_node_table,
@@ -28,6 +30,9 @@ from gibbslab import (
     z_exact_rational,
     z_exact_rational_edge_added,
 )
+
+from gibbslab import harness
+from gibbslab.seeds import SAMPLE, derive_seed
 
 from naive import naive_log_z, naive_z
 
@@ -182,3 +187,37 @@ def test_embedding_preserves_log_z(model, n, data):
     discrete = log_z_exact(make_instance(model, graph, seed)).value
     embedded = log_z_exact(make_instance(embed_discrete(model), graph, seed)).value
     assert embedded == pytest.approx(discrete, rel=1e-12, abs=1e-12)
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.data(), st.sampled_from(["0.05", "0.5", "1", "1.5"]),
+       st.integers(2, 3), SEEDS)
+def test_chain_matches_sample_interpolated(n, data, c, k, seed):
+    """Step t of the chain is sample_interpolated at t, for every t and every
+    split N1 = 1..N; c = 0.05 gives a chain of one graph (m = 0)."""
+    n1 = data.draw(st.integers(1, n))
+    chain = interpolation_chain(n, c, k, n1, seed)
+    assert len(chain) == edge_count(n, c) + 1
+    for t, graph in enumerate(chain):
+        ref = sample_interpolated(n, c, k, InterpolationPoint(t, n1, n - n1), seed)
+        assert (graph.n_nodes, graph.arity) == (n, k)
+        assert graph.edges.dtype == ref.edges.dtype
+        assert np.array_equal(graph.edges, ref.edges)
+
+
+@PROPERTY
+@given(zoo_models(), st.integers(1, 8), st.data(), st.sampled_from(["0.1", "0.5", "1"]),
+       SEEDS)
+def test_chain_values_match_per_point_pipeline(model, n, data, c, seed):
+    """Each value of a sample-major chain block is, bit for bit, log Z of the
+    instance drawn on its own at that point from the sample's derived seed."""
+    n1 = data.draw(st.integers(1, n))
+    lo = data.draw(st.integers(0, 5))
+    rows = harness._chain_task((model, n, c, n1, seed), lo, lo + 2)
+    assert rows.shape == (2, edge_count(n, c) + 1)
+    for i, row in enumerate(rows, start=lo):
+        s = derive_seed(seed, SAMPLE, i)
+        want = [log_z_exact(make_instance(model, sample_interpolated(
+                    n, c, model.arity, InterpolationPoint(t, n1, n - n1), s), s)).value
+                for t in range(len(row))]
+        assert [v.hex() for v in row.tolist()] == [v.hex() for v in want]

@@ -175,10 +175,8 @@ def _cmd_certify(args) -> int:
         verdict = cert.psd.verdict
         if verdict == "psd_for_alpha":
             print(f"PsdForAlpha({cert.psd.alpha:g})")
-        elif verdict == "no_alpha":
-            print("NoAlphaExists")
         else:
-            print(f"Inconclusive({cert.psd.reason})")
+            print("NoAlphaExists")
         print(json.dumps(cert.psd.to_json()))
     else:
         print(f"{'certified' if cert.certified else 'not certified'} "

@@ -318,7 +318,7 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
         raise ValueError("exact moment check needs a discrete model")
     if g0.graph.n_nodes != n_nodes:
         raise ValueError("base instance does not match n_nodes")
-    if g0.model is not model and g0.model.name != model.name:
+    if (g0.model.name, g0.model.params) != (model.name, model.params):
         raise ValueError("base instance was drawn under a different model")
     if not 1 <= n1 <= n_nodes:
         raise ValueError("need 1 <= n1 <= n_nodes")

@@ -562,16 +562,17 @@ def draw_potentials(model: ModelSpec, graph, seed: int) -> PotentialDraws:
 # Soft-state verification
 # ---------------------------------------------------------------------------
 
-def verify_soft_state(model: ModelSpec, rel_tol: float = 1e-12) -> list[str]:
+def verify_soft_state(model: ModelSpec) -> list[str]:
     """Exhaustively check the soft-state assumption against the stored constants.
 
     Returns a list of human-readable violations (empty means the assumption
-    holds).  The node table and every table of the edge law are checked.
+    holds).  The node table and every table of the edge law are checked,
+    with a slack of 1e-12 * (1 + rho_max).
     """
     soft = model.soft
     lengths = model.domain.lengths
     soft_idx = model.soft_states()
-    slack = rel_tol * (1.0 + soft.rho_max)
+    slack = 1e-12 * (1.0 + soft.rho_max)
     problems = []
 
     if soft_idx.size == 0:

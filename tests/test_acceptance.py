@@ -201,7 +201,7 @@ def test_criterion_06_ksat_identity_and_vb_moments():
         for r in (1, 2):
             for n in (1, 2, 3):
                 x = rng.integers(0, 2, size=(r, n))
-                rep = ksat_rank1_verify(0.7, k, r, x)
+                rep = ksat_rank1_verify(0.7, k, x)
                 assert rep.passed, (k, r, n)
                 worst = max(worst, rep.max_entry_error)
     exact_zero = all(vb_f2_moment(0.9, [1.0, -1.0], [0.5, 0.5], r) == 0.0

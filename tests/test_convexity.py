@@ -112,6 +112,12 @@ class TestRestrictedDefiniteness:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             restricted_definite_on_r0(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for bad in (math.inf, math.nan):
+            for entry in (restricted_definite_on_r0,
+                          lambda j: min_alpha_psd(j, 1.0),
+                          partition_kernel_classify):
+                with pytest.raises(ValueError, match="finite"):
+                    entry(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestMinAlphaPsd:
@@ -226,12 +232,21 @@ class TestExpectedTensor:
             assert vb_f2_moment(0.8, [1.0, -1.0], [0.5, 0.5], r) == 0.0
         assert vb_f2_moment(0.8, [1.0, -1.0], [0.5, 0.5], 2) > 0.0
 
+    def test_vb_moment_law_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            vb_f2_moment(0.8, [1.0, -1.0], [0.5], 2)
+
 
 class TestFalsifier:
     def test_psd_quadratic_no_violation(self):
         a = np.array([[2.0, -1.0], [-1.0, 2.0]])
         res = convexity_falsify(KArray(a), orthant_only=False, trials=2000, seed=0)
         assert not res.violation_found
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            convexity_falsify(KArray(np.eye(2)), trials=trials)
 
     def test_cubic_orthant_vs_full_space(self):
         """a y^3 with a > 0: convex on the orthant, not on the line."""
@@ -288,11 +303,11 @@ class TestKsatRank1:
                                                 1.0, [[0]])
             expect = 0.5 ** k * (1 - math.exp(-beta))
             np.testing.assert_allclose(arr.data, expect)
-            rep = ksat_rank1_verify(beta, k, 1, [[0]])
+            rep = ksat_rank1_verify(beta, k, [[0]])
             assert rep.passed and rep.coefficient == pytest.approx(expect)
 
     def test_beta_zero_all_zeros(self):
-        rep = ksat_rank1_verify(0.0, 3, 2, [[0, 1], [1, 1]])
+        rep = ksat_rank1_verify(0.0, 3, [[0, 1], [1, 1]])
         assert rep.passed
         arr = expected_alpha_minus_j_tensor(build_model("ksat", k=3, beta=0.0),
                                             1.0, [[0, 1], [1, 1]])
@@ -323,7 +338,7 @@ class TestKsatRank1:
             for r in (1, 2):
                 for n in (1, 2, 3):
                     x = rng.integers(0, 2, size=(r, n))
-                    rep = ksat_rank1_verify(0.6, k, r, x)
+                    rep = ksat_rank1_verify(0.6, k, x)
                     assert rep.passed, (k, r, n)
                     assert rep.max_entry_error <= 1e-12
 

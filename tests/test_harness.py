@@ -214,6 +214,14 @@ class TestMomentInequality:
         with pytest.raises(ValueError):
             moment_inequality_check(IS1, 3, 1, 4, g0)
 
+    def test_base_instance_under_other_params_rejected(self):
+        """A g0 drawn at beta = 0.5 is not a base instance for beta = 3.0."""
+        g0 = random_base_instance(build_model("ksat", k=2, beta=0.5), 3, 2, seed=4)
+        with pytest.raises(ValueError, match="different model"):
+            moment_inequality_check(build_model("ksat", k=2, beta=3.0), 3, 1, 2, g0)
+        same = build_model("ksat", k=2, beta=0.5)
+        assert moment_inequality_check(same, 3, 1, 2, g0).verdict == "pass"
+
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     def test_non_finite_alpha_rejected(self, alpha):
         g0 = random_base_instance(IS1, 3, 2, seed=5)

@@ -1,8 +1,8 @@
 """Property tests over random instances: the exact evaluators (log space and
 rational) against the rational oracle, component factorization at the
 disjoint-union endpoint, invariance under the discrete-to-continuous
-embedding, and the sample-major interpolation chain against the per-point
-pipeline."""
+embedding, the sample-major interpolation chain against the per-point
+pipeline, and the closed-form minimal PSD shift against a direct scan."""
 
 import dataclasses
 import math
@@ -25,6 +25,7 @@ from gibbslab import (
     interpolation_chain,
     log_z_exact,
     make_instance,
+    min_alpha_psd,
     replace_node_table,
     sample_interpolated,
     z_exact_rational,
@@ -221,3 +222,30 @@ def test_chain_values_match_per_point_pipeline(model, n, data, c, seed):
                     n, c, model.arity, InterpolationPoint(t, n1, n - n1), s), s)).value
                 for t in range(len(row))]
         assert [v.hex() for v in row.tolist()] == [v.hex() for v in want]
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.floats(0.5, 3.0), SEEDS)
+def test_min_alpha_psd_is_the_minimal_shift(n, scale, seed):
+    """On random symmetric J the verdict matches the doubling scan of
+    criterion 05; a returned shift passes its PSD check and a shift 1e-6
+    relative lower has a negative eigenvalue, unless the shift is J_max
+    itself; a no_alpha witness is zero-sum."""
+    j = np.random.default_rng(seed).normal(size=(n, n)) * scale
+    j = 0.5 * (j + j.T)
+    j_max = float(j.max())
+    cert = min_alpha_psd(j, j_max)
+    tol = 1e-9 * (1.0 + float(np.abs(j).max()))
+    alpha, scan_found = j_max, False
+    while alpha <= 1e6 * max(1.0, float(np.abs(j).max())):
+        if np.linalg.eigvalsh(alpha - j).min() >= -tol:
+            scan_found = True
+            break
+        alpha = alpha * 2.0 if alpha > 0 else 1.0
+    assert (cert.verdict == "psd_for_alpha") == scan_found
+    if cert.verdict == "psd_for_alpha":
+        assert np.linalg.eigvalsh(cert.alpha - j).min() >= -1e-9 * (1.0 + abs(cert.alpha))
+        lower = cert.alpha - 1e-6 * (1.0 + abs(cert.alpha))
+        assert cert.alpha == j_max or np.linalg.eigvalsh(lower - j).min() < 0.0
+    else:
+        assert abs(float(np.sum(cert.witness))) < 1e-9

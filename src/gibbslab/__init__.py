@@ -88,4 +88,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"

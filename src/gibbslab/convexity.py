@@ -5,9 +5,11 @@ of spin values, their expected tensor products over a shared draw of J, and
 the multilinear forms they induce.  For K = 2 deterministic kernels the
 smallest shift alpha >= J_max making alpha - J positive semi-definite is a
 closed-form Schur complement of -J split along the zero-sum subspace R0 and
-the ones vector; for higher order the package offers exact closed-form checks
-where they exist (K-SAT rank-1 identity, Viana-Bray odd-moment cancellation)
-plus a randomized convexity falsifier.  The falsifier samples points and
+the ones vector, computed with ``numpy.linalg`` alone (one SVD for the R0
+basis, one symmetric eigensolve of a block of order at most q - 1); for
+higher order the package offers exact closed-form checks where they exist
+(K-SAT rank-1 identity, Viana-Bray odd-moment cancellation) plus a
+randomized convexity falsifier.  The falsifier samples points and
 directions and evaluates exact second directional derivatives; it can refute
 convexity but never proves it.
 """
@@ -22,7 +24,6 @@ from functools import reduce
 from typing import Literal, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh, null_space
 
 from .models import ModelSpec, _sign_product_table, build_model, vb_f1, vb_f2
 from .seeds import FALSIFY, substream
@@ -165,8 +166,9 @@ def _r0_split(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float,
     j = _check_symmetric(j)
     n = j.shape[0]
     u = np.full(n, 1.0 / math.sqrt(n))
-    basis = null_space(np.ones((1, n)))
-    eigs, vecs = eigh(basis.T @ (-j) @ basis)
+    # The last n - 1 right singular vectors of the ones row span R0.
+    basis = np.linalg.svd(np.ones((1, n)))[2][1:].T
+    eigs, vecs = np.linalg.eigh(basis.T @ (-j) @ basis)
     b = vecs.T @ (basis.T @ (-j @ u))
     c = -float(u @ j @ u)
     return basis @ vecs, eigs, b, c, 1e-9 * (1.0 + float(np.abs(j).max(initial=0.0)))
@@ -200,9 +202,11 @@ def min_alpha_psd(j: np.ndarray, j_max: float) -> PsdCertificate:
     ones vector makes the form negative for every alpha (this is what rules
     out e.g. diag(-1, 1)).  Otherwise the smallest shift is
     (b' B^+ b - c) / n in closed form, and j_max itself is returned when
-    that is at most j_max + tolerance.
+    that is at most j_max + tolerance.  A non-finite j_max is rejected.
     """
     vecs, eigs, b, c, tol = _r0_split(j)
+    if not math.isfinite(j_max):
+        raise ValueError(f"j_max must be finite, got {j_max}")
     n = b.size + 1
     if eigs.size and eigs[0] < -tol:
         return PsdCertificate("no_alpha", None, vecs[:, 0], tol,

@@ -215,6 +215,12 @@ class TestMinAlphaPsd:
                     disagreements += 1
         assert disagreements == 0
 
+    @pytest.mark.parametrize("j_max", [math.nan, math.inf, -math.inf])
+    def test_non_finite_j_max_rejected(self, j_max):
+        """A nan floor used to be dropped silently and inf returned alpha inf."""
+        with pytest.raises(ValueError, match="j_max must be finite"):
+            min_alpha_psd(IS_KERNEL, j_max)
+
     def test_certificate_json(self):
         out = min_alpha_psd(IS_KERNEL, 1.0).to_json()
         assert out["verdict"] == "psd_for_alpha"

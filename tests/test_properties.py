@@ -2,7 +2,8 @@
 rational) against the rational oracle, component factorization at the
 disjoint-union endpoint, invariance under the discrete-to-continuous
 embedding, the sample-major interpolation chain against the per-point
-pipeline, and the closed-form minimal PSD shift against a direct scan."""
+pipeline, and the closed-form minimal PSD shift against a direct scan and
+against the scipy formulation it replaced."""
 
 import dataclasses
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh, null_space
 
 from gibbslab import (
     Hypergraph,
@@ -27,6 +29,7 @@ from gibbslab import (
     make_instance,
     min_alpha_psd,
     replace_node_table,
+    restricted_definite_on_r0,
     sample_interpolated,
     z_exact_rational,
     z_exact_rational_edge_added,
@@ -249,3 +252,53 @@ def test_min_alpha_psd_is_the_minimal_shift(n, scale, seed):
         assert cert.alpha == j_max or np.linalg.eigvalsh(lower - j).min() < 0.0
     else:
         assert abs(float(np.sum(cert.witness))) < 1e-9
+
+
+def _scipy_min_shift(j):
+    """Reference verdicts and shift in scipy's null_space/eigh basis, and the
+    condition number of the R0 block on its non-flat part."""
+    n = j.shape[0]
+    u = np.full(n, 1.0 / math.sqrt(n))
+    basis = null_space(np.ones((1, n)))
+    eigs, vecs = eigh(basis.T @ (-j) @ basis)
+    b = vecs.T @ (basis.T @ (-j @ u))
+    c = -float(u @ j @ u)
+    tol = 1e-9 * (1.0 + float(np.abs(j).max()))
+    low = float(eigs.min(initial=math.inf))
+    definite = "yes" if low > tol else "no" if low < -tol else "boundary"
+    flat = eigs <= tol
+    if (eigs.size and eigs[0] < -tol) or np.any(flat & (np.abs(b) > tol * math.sqrt(n))):
+        return definite, "no_alpha", None, 1.0
+    alpha = (float(np.sum(b[~flat] ** 2 / eigs[~flat])) - c) / n
+    cond = float(np.abs(eigs).max() / eigs[~flat].min()) if np.any(~flat) else 1.0
+    return definite, "psd_for_alpha", alpha, cond
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.floats(0.5, 3.0), st.sampled_from(["normal", "neg_gram"]),
+       st.floats(-2.0, 2.0), SEEDS)
+def test_r0_split_matches_scipy_reference(n, scale, family, coupling, seed):
+    """restricted_definite_on_r0 and min_alpha_psd give the verdicts of the
+    scipy null_space/eigh formulation, and the same shift within 1e-12
+    relative, on random symmetric J: Gaussian ones, and -AA' plus a coupling
+    of a random vector to the ones vector (flat on R0 when A has low rank,
+    so both no_alpha witnesses and boundary shifts occur).  The shift is
+    b'B^+b over the R0 block B, so two backward-stable eigensolvers may
+    differ by about eps * cond(B) relative; the bound carries that term."""
+    rng = np.random.default_rng(seed)
+    if family == "normal":
+        j = rng.normal(size=(n, n)) * scale
+        j = 0.5 * (j + j.T)
+    else:
+        a = rng.normal(size=(n, int(rng.integers(1, n + 1)))) * scale
+        w, e = rng.normal(size=n), np.ones(n)
+        j = -a @ a.T + coupling * (np.outer(e, w) + np.outer(w, e))
+    j_max = float(j.max()) + float(rng.choice([0.0, 1.0])) * scale
+    definite, verdict, alpha, cond = _scipy_min_shift(j)
+    assert restricted_definite_on_r0(j) == definite
+    cert = min_alpha_psd(j, j_max)
+    assert cert.verdict == verdict
+    if verdict == "psd_for_alpha":
+        tol = 1e-9 * (1.0 + float(np.abs(j).max()))
+        want = j_max if alpha <= j_max + tol else alpha
+        assert abs(cert.alpha - want) <= (1e-12 + 1e-14 * cond) * (1.0 + abs(want))

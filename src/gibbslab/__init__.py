@@ -10,13 +10,10 @@ from .convexity import (
     FalsifyResult,
     KArray,
     ModelCertificate,
-    PartitionKernel,
     PsdCertificate,
     certify_model,
     convexity_falsify,
-    diagonal_decomposition_exact,
     expected_alpha_minus_j_tensor,
-    interpolation_vector,
     ksat_rank1_verify,
     min_alpha_psd,
     multilinear_form,
@@ -57,14 +54,12 @@ from .models import (
     NodePotentialSpec,
     PiecewiseContinuous,
     PotentialDraws,
-    SoftStateError,
     SoftStateParams,
     ZOO_MODELS,
     build_model,
     draw_potentials,
     embed_discrete,
     gaussian_kernel_potential,
-    soft_params_discrete,
     verify_soft_state,
 )
 from .partition import (
@@ -83,9 +78,8 @@ from .partition import (
     make_instance,
     node_change_bound,
     replace_node_table,
-    weight,
     z_exact_rational,
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"

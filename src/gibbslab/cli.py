@@ -161,10 +161,9 @@ def _cmd_logz(args) -> int:
     instance = partition.make_instance(model, graph, seed)
     if args.mc:
         est = partition.log_z_mc(instance, args.samples, seed)
-        row = partition.logz_row(est, "mc", seed)
     else:
-        row = partition.logz_row(partition.log_z_exact(instance), "exact", seed)
-    print(json.dumps(row))
+        est = partition.log_z_exact(instance)
+    print(json.dumps(partition.logz_row(est, seed)))
     return 0
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from typing import Literal, Optional, Sequence
 
@@ -31,11 +30,9 @@ from .seeds import FALSIFY, substream
 __all__ = [
     "KArray",
     "PsdCertificate",
-    "InterpolationVector",
     "FalsifyResult",
     "KsatRank1Report",
     "PartitionClassification",
-    "PartitionKernel",
     "ModelCertificate",
     "tensor_product",
     "multilinear_form",
@@ -47,8 +44,6 @@ __all__ = [
     "vb_f2_moment",
     "vb_decomposition_max_error",
     "partition_kernel_classify",
-    "interpolation_vector",
-    "diagonal_decomposition_exact",
     "certify_model",
 ]
 
@@ -454,97 +449,6 @@ def partition_kernel_classify(j01: np.ndarray) -> PartitionClassification:
         classes.append(cls)
         unseen -= set(cls)
     return PartitionClassification(True, classes=classes)
-
-
-@dataclass(frozen=True)
-class PartitionKernel:
-    """Zero-one pair kernel of partition form over real spins.
-
-    J(x, y) = 0 exactly when x and y fall in the same zero-class interval;
-    outside all classes J = 1.  This is the only zero-one K = 2 form whose
-    shifted kernel can be positive semi-definite.
-    """
-
-    zero_classes: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        spans = sorted(self.zero_classes)
-        for (al, ah), (bl, bh) in zip(spans, spans[1:]):
-            if bl < ah:
-                raise ValueError("zero classes must be disjoint")
-
-    def class_of(self, x: float) -> Optional[int]:
-        for r, (lo, hi) in enumerate(self.zero_classes):
-            if lo <= x < hi:
-                return r
-        return None
-
-    def evaluate(self, x: float, y: float) -> float:
-        cx, cy = self.class_of(x), self.class_of(y)
-        return 0.0 if (cx is not None and cx == cy) else 1.0
-
-    def sample_matrix(self, points: Sequence[float]) -> np.ndarray:
-        pts = list(points)
-        out = np.ones((len(pts), len(pts)))
-        for i, x in enumerate(pts):
-            for jj, y in enumerate(pts):
-                out[i, jj] = self.evaluate(x, y)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Interpolation vectors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterpolationVector:
-    """Diagonal probability vector over composite indices [n^r].
-
-    Mass 1/n on every diagonal index (i, ..., i) for the global vector, or
-    1/(hi-lo) on diagonal indices with i in [lo, hi) for a block vector.
-    """
-
-    n: int
-    r: int
-    block: Optional[tuple[int, int]]
-    vector: np.ndarray = field(repr=False)
-
-
-def _diagonal_index(i: int, n: int, r: int) -> int:
-    return sum(i * n ** p for p in range(r))
-
-
-def interpolation_vector(n: int, r: int,
-                         block: Optional[tuple[int, int]] = None) -> InterpolationVector:
-    """The diagonal vector e^{N,r} (block=None) or e^{N,r,j} (block=(lo, hi))."""
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
-    vec = np.zeros(n ** r)
-    if block is None:
-        lo, hi, mass = 0, n, 1.0 / n
-    else:
-        lo, hi = block
-        if not (0 <= lo < hi <= n):
-            raise ValueError(f"block [{lo}, {hi}) invalid for n = {n}")
-        mass = 1.0 / (hi - lo)
-    for i in range(lo, hi):
-        vec[_diagonal_index(i, n, r)] = mass
-    return InterpolationVector(n, r, block, vec)
-
-
-def diagonal_decomposition_exact(n: int, r: int, n1: int) -> bool:
-    """Entrywise exact check of e^{N,r} = sum_j (N_j/N) e^{N,r,j} in rationals."""
-    if not 1 <= n1 <= n:
-        raise ValueError("need 1 <= n1 <= n")
-    total = {}
-    blocks = [(0, n1)] + ([(n1, n)] if n1 < n else [])
-    for lo, hi in blocks:
-        weight = Fraction(hi - lo, n)
-        for i in range(lo, hi):
-            idx = _diagonal_index(i, n, r)
-            total[idx] = total.get(idx, Fraction(0)) + weight * Fraction(1, hi - lo)
-    expect = {_diagonal_index(i, n, r): Fraction(1, n) for i in range(n)}
-    return total == expect
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -32,11 +32,8 @@ __all__ = [
     "ModelSpec",
     "PotentialDraws",
     "ModelConfigError",
-    "SoftStateError",
     "ZOO_MODELS",
     "build_model",
-    "soft_params_discrete",
-    "find_soft_color",
     "embed_discrete",
     "draw_potentials",
     "verify_soft_state",
@@ -53,10 +50,6 @@ __all__ = [
 
 class ModelConfigError(ValueError):
     """Unknown model name or out-of-range parameter."""
-
-
-class SoftStateError(ValueError):
-    """The soft-state assumption fails for the given tables."""
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +241,11 @@ class PotentialDraws:
 
     node_tables: np.ndarray   # (N, n_states)
     edge_tables: np.ndarray   # (M, n_states, ..., n_states), order = arity
+
+    def __post_init__(self):
+        for tables in (self.node_tables, self.edge_tables):
+            if not (np.isfinite(tables).all() and (tables >= 0).all()):
+                raise ValueError("potential tables must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -445,61 +443,6 @@ def vb_f1(beta: float, i: float, j_max: float) -> float:
 def vb_f2(beta: float, i: float) -> float:
     """Odd part of the Viana-Bray shift: f2(I) = sinh(beta*I)."""
     return math.sinh(beta * i)
-
-
-# ---------------------------------------------------------------------------
-# Soft-state parameters of deterministic discrete kernels
-# ---------------------------------------------------------------------------
-
-def find_soft_color(j: np.ndarray) -> Optional[int]:
-    """Smallest color q0 whose every slice of J is strictly positive, or None."""
-    j = np.asarray(j, dtype=float)
-    k = j.ndim
-    q = j.shape[0]
-    for q0 in range(q):
-        ok = True
-        for axis in range(k):
-            if np.take(j, q0, axis=axis).min() <= 0:
-                ok = False
-                break
-        if ok:
-            return q0
-    return None
-
-
-def soft_params_discrete(j: np.ndarray, h: np.ndarray,
-                         q0: Optional[int] = None) -> SoftStateParams:
-    """Soft-state witness of a deterministic discrete kernel.
-
-    J_max is the largest kernel entry, rho_max = max(J_max, q * max h), and
-    rho_min is the smallest entry over tuples with some coordinate equal to
-    the soft color q0.  When q0 is omitted the smallest valid color is found;
-    if none exists the soft-state assumption fails and SoftStateError is
-    raised rather than silently patched.
-
-    The returned parameters use kappa = 1, i.e. they describe the model with
-    colors relabeled so that q0 becomes color 0.
-    """
-    j = np.asarray(j, dtype=float)
-    h = np.asarray(h, dtype=float)
-    q = j.shape[0]
-    if j.shape != (q,) * j.ndim:
-        raise ModelConfigError(f"kernel must be q^K cubic, got shape {j.shape}")
-    if h.shape != (q,):
-        raise ModelConfigError(f"node table length {h.shape} != q = {q}")
-    if q0 is None:
-        q0 = find_soft_color(j)
-        if q0 is None:
-            raise SoftStateError("no color has strictly positive interaction "
-                                 "with every other color")
-    slices = [np.take(j, q0, axis=axis) for axis in range(j.ndim)]
-    rho_min = min(float(s.min()) for s in slices)
-    if rho_min <= 0:
-        raise SoftStateError(f"color {q0} is not soft: some interaction is 0")
-    j_max = float(j.max())
-    rho_max = max(j_max, q * float(h.max()))
-    return SoftStateParams(kappa=1.0, rho_min=rho_min, rho_max=rho_max,
-                           j_max=j_max, alpha=j_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Homomorphism weights, log-partition functions, and deterministic bounds.
+"""Log-partition functions and deterministic bounds.
 
 All products live in log space; a zero potential factor propagates as the
 -inf sentinel (Z = 0 is a legal outcome for hard-core models, and log Z is
@@ -41,7 +41,6 @@ __all__ = [
     "McLogZ",
     "StateSpaceCapError",
     "make_instance",
-    "weight",
     "log_z_exact",
     "z_exact_rational",
     "z_exact_rational_edge_added",
@@ -73,9 +72,6 @@ class LogZ:
     @property
     def is_zero(self) -> bool:
         return self.value == -math.inf
-
-    def to_json(self) -> Union[float, str]:
-        return "-inf" if self.is_zero else self.value
 
 
 @dataclass(frozen=True)
@@ -131,25 +127,6 @@ def _safe_log(table: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact evaluation
 # ---------------------------------------------------------------------------
-
-def weight(instance: Instance, assignment: Sequence[int]) -> float:
-    """log H(sigma): sum of log node factors plus log edge factors.
-
-    Returns -inf when any factor is zero.  Cell lengths are not included
-    here; they belong to the quadrature in log_z_exact.
-    """
-    states = np.asarray(assignment, dtype=np.int64)
-    if states.shape != (instance.graph.n_nodes,):
-        raise ValueError(f"assignment must have length {instance.graph.n_nodes}")
-    if states.size and (states.min() < 0 or states.max() >= instance.model.n_states):
-        raise ValueError("assignment entries outside the spin domain")
-    log_nodes = _safe_log(instance.potentials.node_tables)
-    log_edges = _safe_log(instance.potentials.edge_tables)
-    total = float(log_nodes[np.arange(states.size), states].sum())
-    for e_idx, edge in enumerate(instance.graph.edges):
-        total += float(log_edges[e_idx][tuple(states[edge])])
-    return total
-
 
 def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
                        keep: Sequence[int] = ()) -> tuple[list[int], int]:
@@ -432,15 +409,12 @@ def edge_change_bound(instance: Instance, edge) -> float:
     if isinstance(edge, (int, np.integer)):
         if not 0 <= edge < graph.n_edges:
             raise ValueError(f"edge index {edge} out of range")
-        nodes = set(int(x) for x in graph.edges[edge])
-        nb = sum(1 for e in graph.edges if nodes & set(int(x) for x in e))
     else:
-        nodes = set(int(x) for x in edge)
         if len(edge) != k:
             raise ValueError(f"edge tuple must have arity {k}")
-        if nodes and (min(nodes) < 0 or max(nodes) >= graph.n_nodes):
-            raise ValueError("edge tuple entries out of range")
-        nb = 1 + sum(1 for e in graph.edges if nodes & set(int(x) for x in e))
+        graph = _with_edge(graph, edge)
+        edge = graph.n_edges - 1
+    nb = int(degree_stats(graph).edge_neighborhoods[edge])
     return (2 * k + 2 * nb + 1) * instance.model.soft.log_ratio
 
 
@@ -448,20 +422,30 @@ def edge_change_bound(instance: Instance, edge) -> float:
 # Instance modification (perturbation experiments)
 # ---------------------------------------------------------------------------
 
+def _with_edge(graph: Hypergraph, edge: Sequence[int]) -> Hypergraph:
+    """``graph`` with the K-tuple ``edge`` appended as its last edge."""
+    edges = np.vstack([graph.edges, np.asarray(edge, dtype=np.int64)[None, :]])
+    return Hypergraph(graph.n_nodes, graph.arity, edges)
+
+
 def add_edge(instance: Instance, edge: Sequence[int], table: np.ndarray) -> Instance:
     """New instance with ``edge`` (and its potential table) appended."""
-    new_edges = np.vstack([instance.graph.edges,
-                           np.asarray(edge, dtype=np.int64)[None, :]])
-    graph = Hypergraph(instance.graph.n_nodes, instance.graph.arity, new_edges)
     tables = np.concatenate([instance.potentials.edge_tables,
                              np.asarray(table, dtype=float)[None, ...]])
     pots = PotentialDraws(instance.potentials.node_tables, tables)
-    return Instance(graph, pots, instance.model)
+    return Instance(_with_edge(instance.graph, edge), pots, instance.model)
 
 
 def replace_node_table(instance: Instance, node: int, table: np.ndarray) -> Instance:
+    """New instance with the potential table of ``node`` replaced by ``table``."""
+    n_nodes, n_states = instance.potentials.node_tables.shape
+    if not 0 <= node < n_nodes:
+        raise ValueError(f"node {node} out of range [0, {n_nodes})")
+    table = np.asarray(table, dtype=float)
+    if table.shape != (n_states,):
+        raise ValueError(f"node table must have shape ({n_states},), got {table.shape}")
     new_nodes = instance.potentials.node_tables.copy()
-    new_nodes[node] = np.asarray(table, dtype=float)
+    new_nodes[node] = table
     pots = PotentialDraws(new_nodes, instance.potentials.edge_tables)
     return Instance(instance.graph, pots, instance.model)
 
@@ -470,18 +454,17 @@ def replace_node_table(instance: Instance, node: int, table: np.ndarray) -> Inst
 # Serialization
 # ---------------------------------------------------------------------------
 
-def logz_row(value: Union[LogZ, McLogZ], method: str, seed: int) -> dict:
-    """Result row {"logz": float | "-inf", "se": float?, "method", "seed"}."""
-    if method not in ("exact", "mc"):
-        raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
-    if isinstance(value, LogZ):
-        logz, se = value.to_json(), None
-    else:
-        logz = "-inf" if value.value == -math.inf else value.value
-        se = value.std_error
-    row = {"logz": logz, "method": method, "seed": int(seed)}
-    if se is not None:
-        row["se"] = se
+def logz_row(value: Union[LogZ, McLogZ], seed: int) -> dict:
+    """Result row {"logz": float | "-inf", "method", "seed", "se"?}.
+
+    ``method`` is "exact" for a LogZ and "mc" for an McLogZ, whose standard
+    error, when it has one, goes in "se".
+    """
+    exact = isinstance(value, LogZ)
+    logz = "-inf" if value.value == -math.inf else value.value
+    row = {"logz": logz, "method": "exact" if exact else "mc", "seed": int(seed)}
+    if not exact and value.std_error is not None:
+        row["se"] = value.std_error
     return row
 
 

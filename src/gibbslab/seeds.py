@@ -14,7 +14,7 @@ import numpy as np
 # Fixed purpose tags for the first path component.  New tags must never reuse
 # an existing value, retired ones included.
 GRAPH = 0
-NODE_POTENTIALS = 1  # retired: node tables are fixed and draw nothing
+# 1 is reserved: it tagged node-potential draws, and node tables now draw nothing.
 EDGE_POTENTIALS = 2
 SAMPLE = 3
 MC_SHARD = 4

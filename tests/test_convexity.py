@@ -8,13 +8,10 @@ import pytest
 
 from gibbslab import (
     KArray,
-    PartitionKernel,
     build_model,
     certify_model,
     convexity_falsify,
-    diagonal_decomposition_exact,
     expected_alpha_minus_j_tensor,
-    interpolation_vector,
     ksat_rank1_verify,
     min_alpha_psd,
     multilinear_form,
@@ -384,10 +381,12 @@ class TestPartitionKernels:
 
     def test_sampled_partition_kernel_is_certifiable(self):
         """Partition form implies alpha = 1 certifies the sampled matrix."""
-        kernel = PartitionKernel(zero_classes=((0.0, 1.0), (2.0, 3.5)))
         rng = np.random.default_rng(15)
         points = rng.uniform(-1.0, 4.5, size=40)
-        j01 = kernel.sample_matrix(points)
+        # zero classes [0, 1) and [2, 3.5); -1 marks a point outside both
+        cls = np.select([(points >= 0.0) & (points < 1.0),
+                         (points >= 2.0) & (points < 3.5)], [0, 1], -1)
+        j01 = ((cls[:, None] != cls[None, :]) | (cls[:, None] < 0)).astype(float)
         result = partition_kernel_classify(j01)
         assert result.is_partition_form
         cert = min_alpha_psd(j01, 1.0)
@@ -395,23 +394,15 @@ class TestPartitionKernels:
         assert cert.alpha <= 1.0 + 1e-9
 
 
+def _diagonal(n, r, lo=0, hi=None):
+    """Mass 1/(hi - lo) on each composite index (i, ..., i) with lo <= i < hi."""
+    hi = n if hi is None else hi
+    vec = np.zeros(n ** r)
+    vec[[sum(i * n ** p for p in range(r)) for i in range(lo, hi)]] = 1.0 / (hi - lo)
+    return vec
+
+
 class TestInterpolationVectors:
-    def test_convex_split_n2(self):
-        e = interpolation_vector(2, 1)
-        np.testing.assert_allclose(e.vector, [0.5, 0.5])
-        e1 = interpolation_vector(2, 1, block=(0, 1))
-        e2 = interpolation_vector(2, 1, block=(1, 2))
-        np.testing.assert_allclose(0.5 * e1.vector + 0.5 * e2.vector, e.vector)
-
-    def test_r2_diagonal_support(self):
-        e = interpolation_vector(2, 2)
-        np.testing.assert_allclose(e.vector, [0.5, 0.0, 0.0, 0.5])
-
-    def test_decomposition_exact(self):
-        for n, r in ((2, 1), (3, 2), (4, 2), (5, 3)):
-            for n1 in range(1, n + 1):
-                assert diagonal_decomposition_exact(n, r, n1)
-
     def test_diagonal_form_equals_mean_shifted_product(self):
         """<e^{N,r}, E tensor A> equals the normalized placement sum."""
         rng = np.random.default_rng(31)
@@ -419,8 +410,7 @@ class TestInterpolationVectors:
         alpha = 1.0
         x = rng.integers(0, 2, size=(2, 3))
         arr = expected_alpha_minus_j_tensor(m, alpha, x)
-        e = interpolation_vector(3, 2)
-        lhs = multilinear_form(arr, e.vector)
+        lhs = multilinear_form(arr, _diagonal(3, 2))
         rhs = naive_mean_shifted_product(x, alpha, m.edge_pot.support, 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -437,13 +427,10 @@ class TestInterpolationVectors:
                 n = 3
                 x = rng.integers(0, 2, size=(r, n))
                 arr = expected_alpha_minus_j_tensor(m, m.soft.alpha, x)
-                e = interpolation_vector(n, r)
                 n1 = 2
-                e1 = interpolation_vector(n, r, block=(0, n1))
-                e2 = interpolation_vector(n, r, block=(n1, n))
-                lhs = multilinear_form(arr, e.vector)
-                rhs = (n1 / n) * multilinear_form(arr, e1.vector) \
-                    + ((n - n1) / n) * multilinear_form(arr, e2.vector)
+                lhs = multilinear_form(arr, _diagonal(n, r))
+                rhs = (n1 / n) * multilinear_form(arr, _diagonal(n, r, 0, n1)) \
+                    + ((n - n1) / n) * multilinear_form(arr, _diagonal(n, r, n1, n))
                 if r == 2:
                     probe = convexity_falsify(arr, orthant_only=True,
                                               trials=10_000, seed=7)

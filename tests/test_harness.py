@@ -1,7 +1,9 @@
 """Experiment drivers: estimates, verdicts, persistence, and replay."""
 
 import itertools
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -221,6 +223,20 @@ class TestMomentInequality:
             moment_inequality_check(build_model("ksat", k=2, beta=3.0), 3, 1, 2, g0)
         same = build_model("ksat", k=2, beta=0.5)
         assert moment_inequality_check(same, 3, 1, 2, g0).verdict == "pass"
+
+    @pytest.mark.parametrize("field,value", [("edge_tables", math.nan),
+                                             ("node_tables", -1.0)])
+    def test_replay_rejects_invalid_g0_tables(self, field, value):
+        """A stored g0 whose tables are non-finite or negative does not load."""
+        g0 = random_base_instance(IS1, 3, 2, seed=5)
+        rec = moment_inequality_check(IS1, 3, 1, 2, g0)
+        payload = json.loads(rec.params["g0"])
+        table = np.array(payload[field])
+        table.flat[0] = value
+        payload[field] = table.tolist()
+        bad = replace(rec, params={**rec.params, "g0": json.dumps(payload)})
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            replay_record(bad)
 
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     def test_non_finite_alpha_rejected(self, alpha):

@@ -11,7 +11,6 @@ from gibbslab import (
     Hypergraph,
     ModelConfigError,
     PiecewiseContinuous,
-    SoftStateError,
     SoftStateParams,
     ZOO_MODELS,
     build_model,
@@ -20,7 +19,6 @@ from gibbslab import (
     gaussian_kernel_potential,
     log_z_exact,
     make_instance,
-    soft_params_discrete,
     verify_soft_state,
 )
 from gibbslab.convexity import vb_decomposition_max_error
@@ -93,31 +91,6 @@ class TestBuildModel:
             SoftStateParams(kappa=1, rho_min=0.5, rho_max=1.0, j_max=2.0, alpha=2.0)
         with pytest.raises(ModelConfigError):
             SoftStateParams(kappa=1, rho_min=0.5, rho_max=1.0, j_max=1.0, alpha=0.5)
-
-
-class TestSoftParamsDiscrete:
-    def test_independent_set_tables(self):
-        j = np.array([[1.0, 1.0], [1.0, 0.0]])
-        h = np.array([1.0, 1.0])
-        soft = soft_params_discrete(j, h, q0=0)
-        assert (soft.j_max, soft.rho_max, soft.rho_min) == (1.0, 2.0, 1.0)
-
-    def test_potts_q2_finds_soft_color(self):
-        """Every slice contains e^-beta > 0, so q0 = 0 works."""
-        eb = math.exp(-1.0)
-        j = np.array([[eb, 1.0], [1.0, eb]])
-        soft = soft_params_discrete(j, np.ones(2))
-        assert soft.j_max == 1.0
-        assert soft.rho_min == pytest.approx(eb)
-
-    def test_all_ones_kernel(self):
-        soft = soft_params_discrete(np.ones((2, 2)), np.ones(2))
-        assert (soft.j_max, soft.rho_max, soft.rho_min) == (1.0, 2.0, 1.0)
-
-    def test_no_soft_color_reported(self):
-        j = np.zeros((2, 2))
-        with pytest.raises(SoftStateError):
-            soft_params_discrete(j, np.ones(2))
 
 
 class TestEmbedding:

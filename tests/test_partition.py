@@ -1,5 +1,6 @@
-"""Weights, exact and Monte Carlo log Z, and the deterministic bounds."""
+"""Exact and Monte Carlo log Z, and the deterministic bounds."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from gibbslab import (
     Hypergraph,
     ModelSpec,
     NodePotentialSpec,
+    PotentialDraws,
     SoftStateParams,
     StateSpaceCapError,
     add_edge,
@@ -27,12 +29,14 @@ from gibbslab import (
     make_instance,
     node_change_bound,
     replace_node_table,
-    weight,
 )
 from gibbslab.partition import Instance, LogZ
 
 from conftest import random_instance
 from naive import naive_log_z
+
+
+IS1 = build_model("independent_set", **{"lambda": 1.0})
 
 
 def _graph(n, edges, k=2):
@@ -47,37 +51,6 @@ def _constant_model(rho: float) -> ModelSpec:
                      NodePotentialSpec(table=np.full(2, rho / 2.0)),
                      EdgePotentialSpec(2, support=((np.full((2, 2), rho), 1.0),)),
                      soft, {})
-
-
-class TestWeight:
-    def test_hard_core_zero(self):
-        """IS forbids both endpoints occupied: log H = -inf."""
-        m = build_model("independent_set", **{"lambda": 1.0})
-        inst = make_instance(m, _graph(2, [[0, 1]]), 0)
-        assert weight(inst, [1, 1]) == -math.inf
-        assert weight(inst, [1, 0]) == 0.0  # lambda = 1: log(1*1*1)
-
-    def test_empty_graph_unit_potentials(self):
-        m = build_model("potts", q=3, beta=0.7)
-        inst = make_instance(m, _graph(2, [], k=2), 0)
-        for sigma in ([0, 0], [1, 2], [2, 1]):
-            assert weight(inst, sigma) == 0.0
-
-    def test_ising_equal_spins(self):
-        """Anti-ferromagnetic convention: equal spins weigh e^-beta."""
-        beta = 0.9
-        m = build_model("ising", beta=beta, h=1.0)
-        inst = make_instance(m, _graph(2, [[0, 1]]), 0)
-        assert weight(inst, [1, 1]) == pytest.approx(-beta)
-        assert weight(inst, [0, 1]) == pytest.approx(beta)
-
-    def test_validates_assignment(self):
-        m = build_model("independent_set", **{"lambda": 1.0})
-        inst = make_instance(m, _graph(2, [[0, 1]]), 0)
-        with pytest.raises(ValueError):
-            weight(inst, [0, 2])
-        with pytest.raises(ValueError):
-            weight(inst, [0])
 
 
 class TestLogZExact:
@@ -240,6 +213,12 @@ class TestChangeBounds:
         expect = (2 * 3 + 2 * 4 + 1) * mk.soft.log_ratio
         assert edge_change_bound(inst3, (1, 2, 3)) == pytest.approx(expect)
 
+    def test_edge_bound_rejects_bad_edges(self):
+        inst = make_instance(IS1, _graph(3, [[0, 1]]), 0)
+        for edge in (1, -1, (0, 3), (-1, 0), (0, 1, 2)):
+            with pytest.raises(ValueError):
+                edge_change_bound(inst, edge)
+
     def test_node_perturbation_respects_bound(self):
         """Swapping h between admissible tables moves log Z at most the bound."""
         rng = np.random.default_rng(17)
@@ -271,17 +250,71 @@ class TestChangeBounds:
             assert abs(after - before) <= edge_change_bound(inst, edge) + 1e-9
 
 
+class TestTableValidation:
+    """Potential tables are finite and non-negative however they are made,
+    and replace_node_table takes one in-range node and one table."""
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_potential_draws_reject(self, value):
+        good = make_instance(IS1, _graph(2, [[0, 1]]), 0).potentials
+        nodes = good.node_tables.copy()
+        nodes[0, 1] = value
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            PotentialDraws(nodes, good.edge_tables)
+        edges = good.edge_tables.copy()
+        edges[0, 1, 1] = value
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            PotentialDraws(good.node_tables, edges)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_add_edge_rejects_table(self, value):
+        inst = make_instance(IS1, _graph(2, [[0, 1]]), 0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            add_edge(inst, (0, 1), [[1.0, 1.0], [1.0, value]])
+
+    @pytest.mark.parametrize("table", [[-1.0, 1.0], [math.nan, 1.0], [1.0, math.inf]])
+    def test_replace_node_table_rejects_table(self, table):
+        inst = make_instance(IS1, _graph(2, [[0, 1]]), 0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            replace_node_table(inst, 0, table)
+
+    @pytest.mark.parametrize("node", [-1, 2, 5])
+    def test_replace_node_table_rejects_node(self, node):
+        inst = make_instance(IS1, _graph(2, [[0, 1]]), 0)
+        with pytest.raises(ValueError, match="out of range"):
+            replace_node_table(inst, node, [1.0, 1.0])
+
+    @pytest.mark.parametrize("table", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_replace_node_table_rejects_shape(self, table):
+        inst = make_instance(IS1, _graph(2, [[0, 1]]), 0)
+        with pytest.raises(ValueError, match="shape"):
+            replace_node_table(inst, 1, table)
+
+    @pytest.mark.parametrize("field", ["edge_tables", "node_tables"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_instance_from_json_rejects(self, field, value):
+        payload = json.loads(instance_to_json(
+            make_instance(IS1, _graph(2, [[0, 1]]), 0)))
+        table = np.array(payload[field])
+        table.flat[-1] = value
+        payload[field] = table.tolist()
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            instance_from_json(json.dumps(payload))
+
+
 class TestContinuousModel:
     def test_gaussian_with_partition_kernel(self):
         """A genuinely continuous instance: Gaussian node potential and a
         sampled zero-one partition-form kernel over the cells."""
-        from gibbslab import PartitionKernel, gaussian_kernel_potential
+        from gibbslab import gaussian_kernel_potential
         from gibbslab.models import (EdgePotentialSpec, ModelSpec,
                                      NodePotentialSpec, SoftStateParams)
         domain, h_table = gaussian_kernel_potential(half_width=2.0, n_cells=24)
-        kernel = PartitionKernel(zero_classes=((-2.0, -1.0), (0.5, 1.5)))
         mids = domain.midpoints()
-        j_table = np.array([[kernel.evaluate(x, y) for y in mids] for x in mids])
+        # zero classes [-2, -1) and [0.5, 1.5); -1 marks a cell outside both
+        cls = np.select([(mids >= -2.0) & (mids < -1.0),
+                         (mids >= 0.5) & (mids < 1.5)], [0, 1], -1)
+        j_table = ((cls[:, None] != cls[None, :]) | (cls[:, None] < 0)).astype(float)
         # soft region: cells inside [0, 0.5) interact with everything (J = 1
         # there since [0, 0.5) meets no zero class together with any class)
         soft = SoftStateParams(kappa=0.5, rho_min=1e-3, rho_max=4.0, j_max=1.0,
@@ -315,13 +348,13 @@ class TestContinuousModel:
 
 class TestSerialization:
     def test_logz_row_shapes(self):
-        row = logz_row(LogZ(1.25), "exact", 3)
+        row = logz_row(LogZ(1.25), 3)
         assert row == {"logz": 1.25, "method": "exact", "seed": 3}
-        row = logz_row(LogZ(-math.inf), "exact", 0)
+        row = logz_row(LogZ(-math.inf), 0)
         assert row["logz"] == "-inf"
         m = build_model("potts", q=2, beta=0.0)
         inst = make_instance(m, _graph(2, [[0, 1]]), 0)
-        row = logz_row(log_z_mc(inst, samples=4, seed=1), "mc", 1)
+        row = logz_row(log_z_mc(inst, samples=4, seed=1), 1)
         assert row["method"] == "mc" and "se" in row
 
     def test_instance_round_trip(self):

@@ -1,5 +1,6 @@
 """The runtime needs numpy only: importing the package and the CLI, and
-running `certify` and `logz`, loads no scipy module.
+running `certify` and `logz`, loads no scipy module; and every name in each
+module's `__all__` exists.
 
 The check runs in a fresh interpreter so that test modules which import
 scipy themselves cannot mask it.  The file has no test-only imports, so
@@ -21,6 +22,10 @@ import gibbslab
 import gibbslab.cli
 from gibbslab.cli import cli_run
 
+# A star import fails on any __all__ entry the module no longer defines.
+for module in ("graphs", "models", "partition", "convexity", "harness"):
+    exec(f"from gibbslab.{module} import *", {})
+
 assert cli_run(["certify", "--model", "potts", "--q", "3", "--beta", "1"]) == 0
 assert cli_run(["logz", "--model", "independent_set", "--lambda", "1",
                 "--n", "20", "--c", "1", "--seed", "7"]) == 0
@@ -39,4 +44,4 @@ def test_runtime_loads_no_scipy():
 
 if __name__ == "__main__":
     test_runtime_loads_no_scipy()
-    print("runtime loads no scipy module")
+    print("runtime loads no scipy module and every __all__ name resolves")

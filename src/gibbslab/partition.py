@@ -78,9 +78,11 @@ class LogZ:
 class McLogZ:
     """Importance-sampling estimate of log Z with a delta-method standard error.
 
-    When every sampled weight is zero the point estimate degenerates to -inf
-    (a trivial lower bound) and ``log_upper_bound`` carries a rule-of-three
-    95% upper confidence bound instead.
+    ``ess`` is Kong's effective sample size (sum w)^2 / sum w^2 of the
+    importance weights.  When every sampled weight is zero the point estimate
+    degenerates to -inf (a trivial lower bound), ``ess`` is None and
+    ``log_upper_bound`` carries a rule-of-three 95% upper confidence bound
+    instead.
     """
 
     value: float
@@ -89,6 +91,7 @@ class McLogZ:
     seed: int
     zero_fraction: float
     log_upper_bound: Optional[float] = None
+    ess: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -324,15 +327,46 @@ def z_exact_rational_edge_added(instance: Instance,
 
 def _mc_shard(node_probs: np.ndarray, log_edges: np.ndarray, edges: np.ndarray,
               seed: int, shard_idx: int, size: int) -> np.ndarray:
+    """Log edge weights of ``size`` product-measure samples from shard ``shard_idx``.
+
+    ``rng.choice(q, size, p=p)`` draws ``rng.random(size)`` and returns
+    ``searchsorted(cdf, u, 'right')`` with ``cdf = p.cumsum(); cdf /= cdf[-1]``.
+    That cdf is nondecreasing and ends at exactly 1 > u, so the state is the
+    count of ``cdf[:-1] <= u``.  Node v takes one ``rng.random(size)`` in node
+    order, the stream ``choice`` consumed, and q - 1 comparisons, so every
+    state (q = 1 included) and every weight equals the per-node ``choice``
+    draw bit for bit.  Each edge reads its raveled log table at the flat
+    index of its nodes' states, a repeated node reading the diagonal, and
+    the weights add up edge by edge in order, as before.
+    """
     rng = substream(seed, MC_SHARD, shard_idx)
     n_nodes, n_states = node_probs.shape
-    states = np.empty((size, n_nodes), dtype=np.int64)
-    for u in range(n_nodes):
-        states[:, u] = rng.choice(n_states, size=size, p=node_probs[u])
+    cdf = node_probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    states = np.empty((n_nodes, size), dtype=np.intp)
+    u = np.empty(size)
+    below = np.empty(size, dtype=bool)
+    for v in range(n_nodes):
+        rng.random(out=u)
+        # The first comparison starts the count; for q = 1 it is 1 <= u,
+        # false for every u, so every state is 0.
+        np.less_equal(cdf[v, 0], u, out=states[v])
+        for c in cdf[v, 1:-1]:
+            np.less_equal(c, u, out=below)
+            states[v] += below
+    flat = log_edges.reshape(len(edges), n_states ** edges.shape[1])
     lw = np.zeros(size)
-    for e_idx in range(edges.shape[0]):
-        cols = tuple(states[:, v] for v in edges[e_idx])
-        lw = lw + log_edges[e_idx][cols]
+    idx = np.empty(size, dtype=np.intp)
+    vals = np.empty(size)
+    for e_idx, edge in enumerate(edges.tolist()):
+        np.copyto(idx, states[edge[0]])
+        for v in edge[1:]:
+            idx *= n_states
+            idx += states[v]
+        # Every index is in range, so 'clip' changes none and skips the
+        # buffered bounds check of the default mode.
+        flat[e_idx].take(idx, out=vals, mode="clip")
+        lw += vals
     return lw
 
 
@@ -342,9 +376,13 @@ def log_z_mc(instance: Instance, samples: int, seed: int) -> McLogZ:
     Each spin is drawn independently proportional to h_u * cell length; the
     estimator averages the edge-factor product, so
     Z_hat = (prod_u integral h_u) * mean(prod_e J_e).  The standard error is
-    delta-method on the log scale.  Samples are drawn in shards of
-    MC_SHARD_SIZE, shard i from its own substream, so the estimate depends
-    only on (instance, samples, seed).
+    delta-method on the log scale, and ``ess`` is Kong's (sum w)^2 / sum w^2.
+    Samples are drawn in shards of MC_SHARD_SIZE, shard i from its own
+    substream, so the estimate depends only on (instance, samples, seed).
+    A shard maps each node's uniforms to states by comparing them with the
+    node's cdf, as ``rng.choice`` with probabilities does (see
+    ``_mc_shard``), so the estimate is that of per-node ``choice`` draws
+    bit for bit.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -375,7 +413,8 @@ def log_z_mc(instance: Instance, samples: int, seed: int) -> McLogZ:
         se = None
     else:
         se = float(w.std(ddof=1) / (mean_w * math.sqrt(samples)))
-    return McLogZ(value, se, samples, seed, zero_fraction)
+    ess = float(w.sum()) ** 2 / float(np.dot(w, w))
+    return McLogZ(value, se, samples, seed, zero_fraction, ess=ess)
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +494,20 @@ def replace_node_table(instance: Instance, node: int, table: np.ndarray) -> Inst
 # ---------------------------------------------------------------------------
 
 def logz_row(value: Union[LogZ, McLogZ], seed: int) -> dict:
-    """Result row {"logz": float | "-inf", "method", "seed", "se"?}.
+    """Result row {"logz": float | "-inf", "method", "seed", ...}.
 
-    ``method`` is "exact" for a LogZ and "mc" for an McLogZ, whose standard
-    error, when it has one, goes in "se".
+    ``method`` is "exact" for a LogZ and "mc" for an McLogZ.  An MC row also
+    carries "zero_fraction", and "se", "ess" and "log_upper_bound" when the
+    estimate has them, so an estimate whose every weight vanished (logz
+    "-inf", zero_fraction 1 and an upper bound) does not read as Z = 0.
     """
-    exact = isinstance(value, LogZ)
     logz = "-inf" if value.value == -math.inf else value.value
-    row = {"logz": logz, "method": "exact" if exact else "mc", "seed": int(seed)}
-    if not exact and value.std_error is not None:
-        row["se"] = value.std_error
-    return row
+    if isinstance(value, LogZ):
+        return {"logz": logz, "method": "exact", "seed": int(seed)}
+    row = {"logz": logz, "method": "mc", "seed": int(seed), "se": value.std_error,
+           "zero_fraction": value.zero_fraction, "ess": value.ess,
+           "log_upper_bound": value.log_upper_bound}
+    return {key: v for key, v in row.items() if v is not None}
 
 
 def instance_to_json(instance: Instance) -> str:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's evaluation paths: partition functions
 are accumulated as exact rationals (floats are dyadic) with no log-sum-exp,
 multilinear forms are nested loops, and second derivatives come from central
-finite differences.  They stay independent of the code they check.
+finite differences.  They stay independent of the code they check.  The
+Monte Carlo shard reference draws each node's states with ``rng.choice`` and
+gathers each edge's weight by a tuple index, on the shard's own substream.
 """
 
 import itertools
@@ -11,6 +13,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from gibbslab.seeds import MC_SHARD, substream
 
 
 def naive_z(instance) -> Fraction:
@@ -94,3 +98,18 @@ def fd_second_derivative(data: np.ndarray, y, d, step=1e-4) -> float:
     d = np.asarray(d, dtype=float)
     f = lambda v: naive_multilinear(data, v)  # noqa: E731
     return (f(y + step * d) - 2.0 * f(y) + f(y - step * d)) / step ** 2
+
+
+def naive_mc_shard(node_probs, log_edges, edges, seed, shard_idx, size) -> np.ndarray:
+    """Log edge weights of one Monte Carlo shard: one ``rng.choice`` per node
+    over a (size, N) state array, then one tuple gather per edge."""
+    rng = substream(seed, MC_SHARD, shard_idx)
+    n_nodes, n_states = node_probs.shape
+    states = np.empty((size, n_nodes), dtype=np.int64)
+    for u in range(n_nodes):
+        states[:, u] = rng.choice(n_states, size=size, p=node_probs[u])
+    lw = np.zeros(size)
+    for e_idx in range(edges.shape[0]):
+        cols = tuple(states[:, v] for v in edges[e_idx])
+        lw = lw + log_edges[e_idx][cols]
+    return lw

@@ -53,6 +53,19 @@ class TestLogz:
         assert code == 0
         row = json.loads(out)
         assert row["method"] == "mc" and "se" in row
+        assert 0.0 <= row["zero_fraction"] <= 1.0 and 1.0 <= row["ess"] <= 2000
+
+    def test_mc_row_without_nonzero_weight_keeps_bound(self, capsys):
+        """Every weight vanishes at N=200: the row says so and carries the
+        rule-of-three bound instead of reading like Z = 0."""
+        code, out, _ = run(capsys, "logz", "--model", "independent_set",
+                           "--lambda", "1", "--n", "200", "--c", "1", "--seed", "3",
+                           "--mc", "--samples", "2000")
+        assert code == 0
+        row = json.loads(out)
+        assert row["logz"] == "-inf" and row["zero_fraction"] == 1.0
+        assert row["log_upper_bound"] == pytest.approx(132.127, abs=1e-3)
+        assert "se" not in row and "ess" not in row
 
 
 class TestUsageErrors:

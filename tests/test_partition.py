@@ -29,8 +29,9 @@ from gibbslab import (
     make_instance,
     node_change_bound,
     replace_node_table,
+    sample_er,
 )
-from gibbslab.partition import Instance, LogZ
+from gibbslab.partition import Instance, LogZ, McLogZ
 
 from conftest import random_instance
 from naive import naive_log_z
@@ -149,6 +150,34 @@ class TestLogZMc:
         est = log_z_mc(forced, samples=100, seed=0)
         assert est.value == -math.inf and est.std_error is None
         assert est.zero_fraction == 1.0 and est.log_upper_bound is not None
+
+    @pytest.mark.parametrize("name, params, n, c, value, se", [
+        # The README example, logz --model independent_set --lambda 1 --n 30
+        # --c 1 --mc --samples 200000 (seed 0), and an Ising N=60 twin.
+        ("independent_set", {"lambda": 1.0}, 30, 1.0,
+         "0x1.a4e2d8286b11cp+3", "0x1.a1f26b642c3b9p-4"),
+        ("ising", {"beta": 0.5, "h": 1.0}, 60, 1.5,
+         "0x1.95c50e65408e2p+5", "0x1.1eaeb92b852e1p-2"),
+    ])
+    def test_golden_estimates(self, name, params, n, c, value, se):
+        """The bits of v0.6.0's per-node ``rng.choice`` shards."""
+        m = build_model(name, **params)
+        inst = make_instance(m, sample_er(n, c, m.arity, 0), 0)
+        est = log_z_mc(inst, samples=200_000, seed=0)
+        assert (est.value.hex(), est.std_error.hex()) == (value, se)
+
+    def test_ess(self):
+        """Kong's ESS: hard-core weights are 0 or 1, so it counts the nonzero
+        ones; equal weights give the sample count; no weight gives None."""
+        inst = make_instance(IS1, sample_er(30, 1.0, 2, 0), 0)
+        est = log_z_mc(inst, samples=20_000, seed=0)
+        assert est.ess == pytest.approx(20_000 * (1.0 - est.zero_fraction), rel=1e-12)
+        m = build_model("potts", q=3, beta=0.0)
+        flat = log_z_mc(make_instance(m, _graph(3, [[0, 1], [1, 2]]), 0), samples=50, seed=0)
+        assert flat.ess == pytest.approx(50.0, rel=1e-12)
+        forced = replace_node_table(replace_node_table(
+            make_instance(IS1, _graph(2, [[0, 1]]), 0), 0, [0.0, 1.0]), 1, [0.0, 1.0])
+        assert log_z_mc(forced, samples=100, seed=0).ess is None
 
     def test_rejects_zero_mass_node(self):
         m = build_model("independent_set", **{"lambda": 1.0})
@@ -354,8 +383,13 @@ class TestSerialization:
         assert row["logz"] == "-inf"
         m = build_model("potts", q=2, beta=0.0)
         inst = make_instance(m, _graph(2, [[0, 1]]), 0)
-        row = logz_row(log_z_mc(inst, samples=4, seed=1), 1)
-        assert row["method"] == "mc" and "se" in row
+        est = log_z_mc(inst, samples=4, seed=1)
+        assert logz_row(est, 1) == {"logz": est.value, "method": "mc", "seed": 1,
+                                    "se": est.std_error, "zero_fraction": 0.0,
+                                    "ess": est.ess}
+        bound = McLogZ(-math.inf, None, 10, 2, 1.0, log_upper_bound=3.5)
+        assert logz_row(bound, 2) == {"logz": "-inf", "method": "mc", "seed": 2,
+                                      "zero_fraction": 1.0, "log_upper_bound": 3.5}
 
     def test_instance_round_trip(self):
         rng = np.random.default_rng(2)

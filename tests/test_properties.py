@@ -2,7 +2,8 @@
 rational) against the rational oracle, component factorization at the
 disjoint-union endpoint, invariance under the discrete-to-continuous
 embedding, the sample-major interpolation chain against the per-point
-pipeline, and the closed-form minimal PSD shift against a direct scan and
+pipeline, the Monte Carlo shard against the per-node ``rng.choice``
+reference, and the closed-form minimal PSD shift against a direct scan and
 against the scipy formulation it replaced."""
 
 import dataclasses
@@ -26,19 +27,22 @@ from gibbslab import (
     embed_discrete,
     interpolation_chain,
     log_z_exact,
+    log_z_mc,
     make_instance,
     min_alpha_psd,
     replace_node_table,
     restricted_definite_on_r0,
+    sample_er,
     sample_interpolated,
     z_exact_rational,
     z_exact_rational_edge_added,
 )
 
-from gibbslab import harness
-from gibbslab.seeds import SAMPLE, derive_seed
+from gibbslab import harness, partition
+from gibbslab.partition import MC_SHARD_SIZE, _mc_shard, _safe_log
+from gibbslab.seeds import MC_SHARD, SAMPLE, derive_seed, substream
 
-from naive import naive_log_z, naive_z
+from naive import naive_log_z, naive_mc_shard, naive_z
 
 # Derandomized so every run checks the same examples.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -225,6 +229,70 @@ def test_chain_values_match_per_point_pipeline(model, n, data, c, seed):
                     n, c, model.arity, InterpolationPoint(t, n1, n - n1), s), s)).value
                 for t in range(len(row))]
         assert [v.hex() for v in row.tolist()] == [v.hex() for v in want]
+
+
+# A potential entry: zero in about a third of the draws, so node tables have
+# zero-probability states and edge tables have -inf log weights.
+TABLE_ENTRIES = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mc_shard_matches_choice_reference(q, k, data):
+    """The comparison draw and flat-index gather give the per-node
+    ``rng.choice`` shard byte for byte, for shard sizes 1, 1000 and
+    MC_SHARD_SIZE, with zero-probability states, -inf weights and edge
+    tuples that repeat a node."""
+    n = data.draw(st.integers(1, 8))
+    tables = np.array(data.draw(st.lists(
+        st.lists(TABLE_ENTRIES, min_size=q, max_size=q), min_size=n, max_size=n)))
+    for u in np.flatnonzero(tables.sum(axis=1) == 0):
+        tables[u, data.draw(st.integers(0, q - 1))] = 1.0
+    node_probs = tables / tables.sum(axis=1)[:, None]
+    edges = _edges(data.draw, n, k, 12)
+    log_edges = _safe_log(np.array(data.draw(st.lists(
+        TABLE_ENTRIES, min_size=len(edges) * q ** k, max_size=len(edges) * q ** k)))
+    ).reshape((len(edges),) + (q,) * k)
+    seed, shard = data.draw(SEEDS), data.draw(st.integers(0, 3))
+    size = data.draw(st.sampled_from([1, 1000, MC_SHARD_SIZE]))
+    got = _mc_shard(node_probs, log_edges, edges, seed, shard, size)
+    want = naive_mc_shard(node_probs, log_edges, edges, seed, shard, size)
+    assert got.dtype == want.dtype and got.shape == (size,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_mc_shard_tie_goes_to_the_upper_state():
+    """A uniform equal to a cdf entry picks the next state, as searchsorted
+    'right' does in ``rng.choice``: p = (u, 1 - u) for the shard's first
+    uniform u >= 1/2 makes cdf[0] == u exactly."""
+    seed = next(s for s in range(100)
+                if substream(s, MC_SHARD, 0).random() >= 0.5)
+    u = substream(seed, MC_SHARD, 0).random()
+    node_probs = np.array([[u, 1.0 - u]])
+    assert node_probs.cumsum()[0] == u and node_probs.sum() == 1.0
+    log_edges = np.log([[1.0, 2.0]])
+    edges = np.zeros((1, 1), dtype=np.int64)
+    got = _mc_shard(node_probs, log_edges, edges, seed, 0, 3)
+    want = naive_mc_shard(node_probs, log_edges, edges, seed, 0, 3)
+    assert got[0] == math.log(2.0)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(zoo_models(), st.integers(1, 30), st.sampled_from([0.5, 1.0, 1.5]), SEEDS)
+def test_log_z_mc_matches_reference_shards(model, n, c, seed):
+    """An estimate over two full shards and a partial one equals, field by
+    field, the estimate built from the reference shards."""
+    inst = make_instance(model, sample_er(n, c, model.arity, seed), seed)
+    samples = 2 * MC_SHARD_SIZE + 17
+    got = log_z_mc(inst, samples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "_mc_shard", naive_mc_shard)
+        want = log_z_mc(inst, samples, seed)
+    assert [repr(f) for f in dataclasses.astuple(got)] == \
+        [repr(f) for f in dataclasses.astuple(want)]
 
 
 @PROPERTY

@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_interp.add_argument("--c", type=str, required=True)
     p_interp.add_argument("--samples", type=int, default=2000)
     p_interp.add_argument("--seed", type=int, default=0)
-    p_interp.add_argument("--uncoupled", action="store_true")
     p_interp.add_argument("--allow-uncertified", action="store_true")
     p_interp.add_argument("--out")
     p_interp.add_argument("--csv")
@@ -189,7 +188,7 @@ def _cmd_interpolate(args) -> int:
     model, _ = _model_from_args(args)
     record = harness.interpolation_monotonicity(
         model, args.n, args.n1, args.c, args.samples, args.seed,
-        couple=not args.uncoupled, allow_uncertified=args.allow_uncertified)
+        allow_uncertified=args.allow_uncertified)
     return _emit_record(record, args)
 
 

@@ -112,17 +112,18 @@ class DegreeStats:
 
 
 def edge_count(n_nodes: int, c: EdgeDensity) -> int:
-    """Exact floor(c * N) with c parsed as an exact decimal.
+    """Exact floor(c * N) with c parsed as an exact decimal or ratio.
 
     Strings and floats go through Decimal so that e.g. c = 0.3, N = 10 gives
-    3 rather than a float-floor off-by-one.
+    3 rather than a float-floor off-by-one; a "p/q" string (how a Fraction
+    density is stored in a record) is parsed as that exact Fraction.
     """
     if isinstance(c, (int, Fraction, Decimal)):
         value = c
     elif isinstance(c, str):
         try:
-            value = Decimal(c)
-        except InvalidOperation as exc:
+            value = Fraction(c) if "/" in c else Decimal(c)
+        except (InvalidOperation, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse edge density {c!r}") from exc
     elif isinstance(c, float):
         value = Decimal(str(c))

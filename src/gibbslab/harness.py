@@ -3,15 +3,15 @@
 Every experiment is a deterministic function of (params, seed): per-sample
 seeds are derived from the master seed by index, so results are bit-identical
 for any worker count and any record can be replayed from its stored
-parameters.  Statistical pass thresholds (3 standard errors for
-monotonicity, slope <= -0.3 for the concentration proxy) are configuration;
-verdicts always carry the raw numbers.
+parameters.  Statistical pass thresholds are module constants
+(``SE_FACTOR`` = 3 standard errors for monotonicity, ``SLOPE_THRESHOLD`` =
+-0.3 for the concentration proxy); verdicts always carry the raw numbers.
 
-The coupled interpolation chain is computed sample-major: one task derives a
-sample's seed, draws its whole chain (``interpolation_chain``) and its
-potentials once, and evaluates log Z at every t.  Each experiment call opens
-at most one process pool, into which the sample blocks of all its chain
-steps or sizes go.
+The interpolation chain is coupled and computed sample-major: one task
+derives a sample's seed, draws its whole chain (``interpolation_chain``) and
+its potentials once, and evaluates log Z at every t.  Each experiment call
+opens at most one process pool, into which the sample blocks of its whole
+chain or of all its sizes go.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convexity import certify_model
-from .graphs import Hypergraph, InterpolationPoint, edge_count, \
-    interpolation_chain, sample_er, sample_interpolated
+from .graphs import Hypergraph, InterpolationPoint, interpolation_chain, \
+    sample_er, sample_interpolated
 from .models import MODEL_PARAM_KEYS, Discrete, ModelSpec, decode_model
 from .partition import Instance, instance_from_json, instance_to_json, log_z_exact, \
     make_instance, z_exact_rational, z_exact_rational_edge_added
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 WORKERS_ENV = "GIBBSLAB_WORKERS"
+SE_FACTOR = 3.0
+SLOPE_THRESHOLD = -0.3
 
 
 def resolve_workers(n_workers: Optional[int] = None) -> int:
@@ -87,6 +89,11 @@ def _sample_std(values: np.ndarray) -> float:
     if values.size < 2 or np.all(values == values[0]):
         return 0.0
     return float(values.std(ddof=1))
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error."""
+    return float(values.mean()), _sample_std(values) / math.sqrt(len(values))
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,7 @@ def _chain_task(args: tuple, lo: int, hi: int) -> np.ndarray:
 def _map_blocks(task, jobs: Sequence[tuple], n_workers: Optional[int]) -> list:
     """``task(args, lo, hi)`` over samples 0..n-1 of every (args, n) job.
 
+    A mean or a chain is one job; a size-list experiment has one per size.
     Each job's samples are cut into about 4 blocks per worker; the blocks
     of all jobs go through one ``map`` of one ProcessPoolExecutor, opened
     only when there is more than one worker.  Each job's blocks are
@@ -184,6 +192,14 @@ def _check_sizes(n_list: Sequence[int]) -> list[int]:
     return sizes
 
 
+def _sample_sizes(model: ModelSpec, sizes: Sequence[int], c, samples: int,
+                  seed: int, n_workers: Optional[int]) -> list[np.ndarray]:
+    """log Z of plain draws per size; size idx draws under (seed, EXPERIMENT, idx)."""
+    jobs = [((model, n_nodes, c, None, derive_seed(seed, EXPERIMENT, idx)), samples)
+            for idx, n_nodes in enumerate(sizes)]
+    return _map_blocks(_sample_task, jobs, n_workers)
+
+
 def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int,
                        seed: int, point: Optional[InterpolationPoint] = None,
                        n_workers: Optional[int] = None) -> MeanEstimate:
@@ -191,9 +207,7 @@ def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int,
     _check_samples(samples)
     values, = _map_blocks(_sample_task, [((model, n_nodes, c, point, seed), samples)],
                           n_workers)
-    return MeanEstimate(float(values.mean()),
-                        _sample_std(values) / math.sqrt(samples),
-                        samples, seed)
+    return MeanEstimate(*_mean_se(values), samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -206,52 +220,35 @@ def _model_record_params(model: ModelSpec) -> dict:
 
 def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
                                samples_per_t: int, seed: int,
-                               couple: bool = True,
-                               se_factor: float = 3.0,
                                allow_uncertified: bool = False,
                                n_workers: Optional[int] = None) -> ExperimentRecord:
     """Estimate E log Z along the interpolation chain t = 0..floor(c*N).
 
-    t = 0 is the plain ensemble, t = floor(c*N) the disjoint union.  The
-    verdict passes when every consecutive difference is >= -se_factor times
-    its (paired, when coupled) standard error.  Uncertified models require
+    t = 0 is the plain ensemble, t = floor(c*N) the disjoint union.  Sample
+    i has the seed derived from (seed, i) at every t, so its whole chain is
+    one task (common random numbers) and each difference is estimated from
+    per-sample paired differences.  The verdict passes when every
+    consecutive difference and the endpoint difference is >= -SE_FACTOR
+    times its standard error.  Uncertified models require
     ``allow_uncertified`` and get a report-only verdict.
-
-    Coupled, sample i has the seed derived from (seed, i) at every t, so its
-    whole chain is one task (common random numbers).  Uncoupled, step t
-    samples under the seed derived from (seed, EXPERIMENT, t).
     """
     _check_samples(samples_per_t, "samples_per_t")
+    InterpolationPoint(0, n1, n_nodes - n1)  # validates the split
     certified = certify_model(model).certified
     if not certified and not allow_uncertified:
         raise ValueError(f"model {model.name!r} is not certified; "
                          "pass allow_uncertified=True for a report-only run")
-    m = edge_count(n_nodes, c)
-    points = [InterpolationPoint(t, n1, n_nodes - n1) for t in range(m + 1)]
-    if couple:
-        chain, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, seed),
-                                            samples_per_t)], n_workers)
-        values = list(np.ascontiguousarray(chain.T))  # one row per t
-    else:
-        values = _map_blocks(
-            _sample_task, [((model, n_nodes, c, point, derive_seed(seed, EXPERIMENT, t)),
-                            samples_per_t) for t, point in enumerate(points)], n_workers)
+    chain, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, seed), samples_per_t)],
+                         n_workers)
+    values = np.ascontiguousarray(chain.T)  # one row per t
 
     results: dict = {}
-    means = [float(v.mean()) for v in values]
     for t, v in enumerate(values):
-        results[f"mean_{t}"] = means[t]
-        results[f"se_{t}"] = _sample_std(v) / math.sqrt(len(v))
+        results[f"mean_{t}"], results[f"se_{t}"] = _mean_se(v)
 
     ok = True
-    for t in range(m):
-        if couple:
-            d = values[t] - values[t + 1]
-            se = _sample_std(d) / math.sqrt(len(d))
-            diff = float(d.mean())
-        else:
-            diff = means[t] - means[t + 1]
-            se = math.hypot(results[f"se_{t}"], results[f"se_{t + 1}"])
+    for t in range(len(values) - 1):
+        diff, se = _mean_se(values[t] - values[t + 1])
         results[f"diff_{t}"] = diff
         results[f"diff_se_{t}"] = se
         if se > 0:
@@ -259,25 +256,19 @@ def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
         else:
             ratio = 0.0 if diff == 0 else math.copysign(math.inf, diff)
         results[f"gap_over_se_{t}"] = ratio
-        if diff < -se_factor * se:
+        if diff < -SE_FACTOR * se:
             ok = False
 
-    if couple:
-        d_end = values[0] - values[-1]
-        end_se = _sample_std(d_end) / math.sqrt(len(d_end))
-        end_diff = float(d_end.mean())
-    else:
-        end_diff = means[0] - means[-1]
-        end_se = math.hypot(results["se_0"], results[f"se_{m}"])
-    results["endpoint_diff"] = end_diff
-    results["endpoint_se"] = end_se
-    if end_diff < -se_factor * end_se:
+    diff, se = _mean_se(values[0] - values[-1])
+    results["endpoint_diff"] = diff
+    results["endpoint_se"] = se
+    if diff < -SE_FACTOR * se:
         ok = False
 
     verdict = ("pass" if ok else "fail") if certified else "report"
     params = {**_model_record_params(model), "n": n_nodes, "n1": n1, "c": str(c),
-              "samples_per_t": samples_per_t, "seed": seed, "couple": couple,
-              "se_factor": se_factor}
+              "samples_per_t": samples_per_t, "seed": seed, "couple": True,
+              "se_factor": SE_FACTOR}
     return ExperimentRecord("interpolation_monotonicity", params, results, verdict)
 
 
@@ -365,11 +356,10 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
 
 def concentration_experiment(model: ModelSpec, n_list: Sequence[int], c,
                              samples: int, seed: int,
-                             slope_threshold: float = -0.3,
                              n_workers: Optional[int] = None) -> ExperimentRecord:
     """Fit the decay rate of std(log Z / N) against N.
 
-    Passes when the fitted log-log slope is at or below ``slope_threshold``
+    Passes when the fitted log-log slope is at or below ``SLOPE_THRESHOLD``
     (a loose desk-scale proxy for the -1/2 rate).  Degenerate models with
     zero variance yield a report-only verdict.  Also reports the empirical
     tail fraction P(|logZ/N - mean| > log(N)^3 / sqrt(N)) per size.
@@ -378,11 +368,10 @@ def concentration_experiment(model: ModelSpec, n_list: Sequence[int], c,
     sizes = _check_sizes(n_list)
     if len(set(sizes)) < len(sizes):
         raise ValueError(f"n_list has duplicate sizes: {sizes}")
-    jobs = [((model, n_nodes, c, None, derive_seed(seed, EXPERIMENT, idx)), samples)
-            for idx, n_nodes in enumerate(sizes)]
     results: dict = {}
     stds = []
-    for n_nodes, logz in zip(sizes, _map_blocks(_sample_task, jobs, n_workers)):
+    for n_nodes, logz in zip(sizes, _sample_sizes(model, sizes, c, samples, seed,
+                                                  n_workers)):
         values = logz / float(n_nodes)
         std = _sample_std(values)
         stds.append(std)
@@ -396,12 +385,12 @@ def concentration_experiment(model: ModelSpec, n_list: Sequence[int], c,
         ys = np.log([s for _, s in usable])
         slope = float(np.polyfit(xs, ys, 1)[0])
         results["slope"] = slope
-        verdict = "pass" if slope <= slope_threshold else "fail"
+        verdict = "pass" if slope <= SLOPE_THRESHOLD else "fail"
     else:
         verdict = "report"
     params = {**_model_record_params(model), "n_list": sizes,
               "c": str(c), "samples": samples, "seed": seed,
-              "slope_threshold": slope_threshold}
+              "slope_threshold": SLOPE_THRESHOLD}
     return ExperimentRecord("concentration", params, results, verdict)
 
 
@@ -421,14 +410,13 @@ def convergence_experiment(model: ModelSpec, n_list: Sequence[int], c,
     """
     _check_samples(samples)
     sizes = sorted(set(_check_sizes(n_list)))
-    jobs = [((model, n_nodes, c, None, derive_seed(seed, EXPERIMENT, idx)), samples)
-            for idx, n_nodes in enumerate(sizes)]
     a: dict[int, float] = {}
     results: dict = {}
-    for n_nodes, values in zip(sizes, _map_blocks(_sample_task, jobs, n_workers)):
-        a[n_nodes] = float(values.mean())
+    for n_nodes, values in zip(sizes, _sample_sizes(model, sizes, c, samples, seed,
+                                                    n_workers)):
+        a[n_nodes], se = _mean_se(values)
         results[f"a_{n_nodes}"] = a[n_nodes]
-        results[f"a_se_{n_nodes}"] = _sample_std(values) / math.sqrt(samples)
+        results[f"a_se_{n_nodes}"] = se
         results[f"a_over_n_{n_nodes}"] = a[n_nodes] / n_nodes
     c_fit = 0.0
     for n_nodes in sizes:
@@ -516,14 +504,22 @@ def _model_from_params(params: dict) -> ModelSpec:
 
 def replay_record(record: ExperimentRecord,
                   n_workers: Optional[int] = None) -> ExperimentRecord:
-    """Re-run an experiment from its stored params; results must reproduce."""
+    """Re-run an experiment from its stored params; results must reproduce.
+
+    Records of settings removed in 0.7.0 raise ValueError."""
     p = record.params
+    if not p.get("couple", True):
+        raise ValueError("the uncoupled interpolation chain was removed in 0.7.0; "
+                         "this record cannot be replayed")
+    for key, value in (("se_factor", SE_FACTOR), ("slope_threshold", SLOPE_THRESHOLD)):
+        if p.get(key, value) != value:
+            raise ValueError(f"{key} = {p[key]!r} is not {value}, the only value "
+                             "since 0.7.0; this record cannot be replayed")
     model = _model_from_params(p)
     name = record.experiment
     if name == "interpolation_monotonicity":
         return interpolation_monotonicity(
             model, p["n"], p["n1"], p["c"], p["samples_per_t"], p["seed"],
-            couple=p["couple"], se_factor=p["se_factor"],
             allow_uncertified=True, n_workers=n_workers)
     if name == "moment_inequality":
         g0 = instance_from_json(p["g0"])
@@ -531,8 +527,7 @@ def replay_record(record: ExperimentRecord,
                                        alpha=p["alpha"])
     if name == "concentration":
         return concentration_experiment(model, p["n_list"], p["c"], p["samples"],
-                                        p["seed"], slope_threshold=p["slope_threshold"],
-                                        n_workers=n_workers)
+                                        p["seed"], n_workers=n_workers)
     if name == "convergence":
         return convergence_experiment(model, p["n_list"], p["c"], p["samples"],
                                       p["seed"], n_workers=n_workers)

@@ -133,6 +133,12 @@ class TestUsageErrors:
          "--n1", "1", "--r", "2", "--alpha", "inf"),
         ("moments", "--model", "ksat", "--k", "2", "--beta", "0.5", "--n", "3",
          "--n1", "1", "--r", "2", "--alpha", "nan"),
+        ("interpolate", "--model", "independent_set", "--lambda", "1", "--n", "4",
+         "--n1", "0", "--c", "1", "--samples", "4"),
+        ("interpolate", "--model", "independent_set", "--lambda", "1", "--n", "4",
+         "--n1", "5", "--c", "1", "--samples", "4"),
+        ("interpolate", "--model", "independent_set", "--lambda", "1", "--n", "4",
+         "--n1", "2", "--c", "1", "--samples", "4", "--uncoupled"),
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         """Bad input is a usage error, never a traceback or a verdict."""

@@ -33,6 +33,7 @@ class TestEdgeCount:
         assert edge_count(10, 1) == 10
         assert edge_count(7, "1.5") == 10
         assert edge_count(3, 2.5) == 7
+        assert edge_count(10, "1/3") == 3
 
     def test_rejects_nonpositive(self):
         """Also rejects what is not a finite number, so the CLI exits 2."""

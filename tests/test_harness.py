@@ -109,15 +109,17 @@ class TestInterpolationMonotonicity:
         assert rec.verdict == "pass"
         assert rec.results["endpoint_diff"] == 0.0
 
-    def test_coupling_shrinks_difference_se(self):
-        coupled = interpolation_monotonicity(IS1, 6, 3, 1, samples_per_t=300,
-                                             seed=5, couple=True)
-        independent = interpolation_monotonicity(IS1, 6, 3, 1, samples_per_t=300,
-                                                 seed=5, couple=False)
-        m = 6
-        se_c = sum(coupled.results[f"diff_se_{t}"] for t in range(m))
-        se_i = sum(independent.results[f"diff_se_{t}"] for t in range(m))
-        assert se_c < se_i
+    @pytest.mark.parametrize("n1", [0, 7])
+    def test_bad_split_rejected_before_certify(self, monkeypatch, n1):
+        """n1 outside [1, N] is refused before certification and any pool."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the split check")
+
+        monkeypatch.setattr(harness, "certify_model", unreachable)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", unreachable)
+        with pytest.raises(ValueError, match="n1"):
+            interpolation_monotonicity(IS1, 6, n1, 1, samples_per_t=4, seed=0,
+                                       n_workers=2)
 
     def test_other_certified_models_monotone(self):
         """The monotone decrease holds beyond IS: Potts and K-SAT probes."""
@@ -342,6 +344,9 @@ class TestRecordsAndReplay:
         assert verify_replay(rec3)
         rec4 = convergence_experiment(IS1, [4, 6], 1, samples=25, seed=8)
         assert verify_replay(rec4)
+        rec5 = concentration_experiment(IS1, [4, 6], Fraction(1, 2), samples=4, seed=1)
+        assert rec5.params["c"] == "1/2"
+        assert verify_replay(rec5)
 
     def test_replay_with_two_workers(self):
         rec = concentration_experiment(IS1, [4, 6], 1, samples=24, seed=12)
@@ -372,6 +377,20 @@ class TestRecordsAndReplay:
             assert (back.name, back.params, seed) == (model.name, model.params, 5)
             assert back.domain == model.domain
 
+    @pytest.mark.parametrize("make,key,value", [
+        (lambda: interpolation_monotonicity(IS1, 4, 2, 1, samples_per_t=4, seed=0),
+         "se_factor", 2.0),
+        (lambda: concentration_experiment(IS1, [4, 6], 1, samples=4, seed=0),
+         "slope_threshold", -0.5),
+    ], ids=["se_factor", "slope_threshold"])
+    def test_replay_rejects_other_threshold(self, make, key, value):
+        """Thresholds are constants since 0.7.0: a record stored with another
+        value cannot be reproduced and is refused, not re-judged."""
+        rec = make()
+        bad = replace(rec, params={**rec.params, key: value})
+        with pytest.raises(ValueError, match="0.7.0"):
+            replay_record(bad)
+
     def test_unknown_experiment_rejected(self):
         rec = ExperimentRecord("bogus", {"model": "potts"}, {}, "report")
         with pytest.raises(ValueError):
@@ -385,13 +404,18 @@ class TestGoldenRecords:
     """Records written by 0.4.0 must replay bit for bit: results may only
     move with a version that says so.  The file holds coupled and uncoupled
     hard-core chains at N = 6, a 3-SAT chain with N1 = N, a concentration
-    and a convergence record."""
+    and a convergence record.  The uncoupled chain (index 1) was removed in
+    0.7.0, so its record is refused."""
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("index", range(5))
     def test_v0_4_0_record_replays(self, index, n_workers):
         record = read_records(str(GOLDEN))[index]
-        assert verify_replay(record, n_workers=n_workers)
+        if index == 1:
+            with pytest.raises(ValueError, match="uncoupled"):
+                verify_replay(record, n_workers=n_workers)
+        else:
+            assert verify_replay(record, n_workers=n_workers)
 
 
 class CountingPool(harness.ProcessPoolExecutor):
@@ -412,13 +436,11 @@ class TestOnePoolPerExperiment:
     @pytest.mark.parametrize("run", [
         lambda: interpolation_monotonicity(IS1, 5, 2, 1, samples_per_t=12, seed=1,
                                            n_workers=2),
-        lambda: interpolation_monotonicity(IS1, 5, 2, 1, samples_per_t=12, seed=1,
-                                           couple=False, n_workers=2),
         lambda: concentration_experiment(IS1, [4, 5, 6], 1, samples=12, seed=2,
                                          n_workers=2),
         lambda: convergence_experiment(IS1, [3, 4, 7], 1, samples=12, seed=3,
                                        n_workers=2),
-    ], ids=["coupled", "uncoupled", "concentration", "convergence"])
+    ], ids=["coupled", "concentration", "convergence"])
     def test_two_workers_open_one_pool(self, pool, run):
         run()
         assert pool.created == 1

@@ -82,4 +82,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"

@@ -181,6 +181,15 @@ def _chain_edges(glob: np.ndarray, block: np.ndarray, t: int) -> np.ndarray:
     return np.concatenate([glob[:g], block[g:]])
 
 
+def _check_point(point: InterpolationPoint, n_nodes: int, c: EdgeDensity) -> None:
+    """Raise ValueError unless ``point`` is a chain step for N nodes at density c."""
+    if point.n != n_nodes:
+        raise ValueError(f"block sizes {point.n1}+{point.n2} != n_nodes {n_nodes}")
+    m = edge_count(n_nodes, c)
+    if point.t > m:
+        raise ValueError(f"t = {point.t} exceeds edge count {m}")
+
+
 def sample_interpolated(n_nodes: int, c: EdgeDensity, arity: int,
                         point: InterpolationPoint, seed: int) -> Hypergraph:
     """Interpolated ensemble at chain step ``point.t``.
@@ -190,11 +199,8 @@ def sample_interpolated(n_nodes: int, c: EdgeDensity, arity: int,
     probability n1/N and is uniform over that block's tuples, otherwise
     block 2 (nodes [n1, N)).
     """
-    if point.n != n_nodes:
-        raise ValueError(f"block sizes {point.n1}+{point.n2} != n_nodes {n_nodes}")
+    _check_point(point, n_nodes, c)
     glob, block = _chain_slots(n_nodes, c, arity, point.n1, seed)
-    if point.t > glob.shape[0]:
-        raise ValueError(f"t = {point.t} exceeds edge count {glob.shape[0]}")
     return Hypergraph(n_nodes, arity, _chain_edges(glob, block, point.t))
 
 

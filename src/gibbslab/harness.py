@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convexity import certify_model
-from .graphs import Hypergraph, InterpolationPoint, interpolation_chain, \
-    sample_er, sample_interpolated
+from .graphs import Hypergraph, InterpolationPoint, _check_point, \
+    interpolation_chain, sample_er, sample_interpolated
 from .models import MODEL_PARAM_KEYS, Discrete, ModelSpec, decode_model
 from .partition import Instance, instance_from_json, instance_to_json, log_z_exact, \
     make_instance, z_exact_rational, z_exact_rational_edge_added
@@ -203,8 +203,14 @@ def _sample_sizes(model: ModelSpec, sizes: Sequence[int], c, samples: int,
 def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int,
                        seed: int, point: Optional[InterpolationPoint] = None,
                        n_workers: Optional[int] = None) -> MeanEstimate:
-    """Mean and standard error of log Z over fresh (graph, potentials) draws."""
+    """Mean and standard error of log Z over fresh (graph, potentials) draws.
+
+    A ``point`` whose split is not N nodes, or whose t exceeds floor(c*N), is
+    refused before any pool opens.
+    """
     _check_samples(samples)
+    if point is not None:
+        _check_point(point, n_nodes, c)
     values, = _map_blocks(_sample_task, [((model, n_nodes, c, point, seed), samples)],
                           n_workers)
     return MeanEstimate(*_mean_se(values), samples, seed)

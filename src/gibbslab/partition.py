@@ -14,7 +14,6 @@ per node factor, which makes the discrete embedding exact.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import math
@@ -121,10 +120,8 @@ def make_instance(model: ModelSpec, graph: Hypergraph, seed: int) -> Instance:
 # ---------------------------------------------------------------------------
 
 def _safe_log(table: np.ndarray) -> np.ndarray:
-    out = np.full(table.shape, -np.inf)
-    mask = table > 0
-    out[mask] = np.log(table[mask])
-    return out
+    """log of ``table`` with the -inf sentinel where an entry is not positive."""
+    return np.log(table, out=np.full(table.shape, -np.inf), where=table > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +181,16 @@ class _Semiring:
 
 
 # Log space: a zero factor is the -inf sentinel and scales add exactly (fsum).
+# ufunc.reduce sums out axis 0 by default.
 _LOG = _Semiring(lambda h, lengths: _safe_log(h * lengths), _safe_log, np.add,
-                 lambda t: np.logaddexp.reduce(t, axis=0), np.subtract, -math.inf,
-                 math.fsum)
+                 np.logaddexp.reduce, np.subtract, -math.inf, math.fsum)
 # Exact rationals: floats are dyadic, so Fraction(float) loses nothing, and
 # node potential and cell length are multiplied as rationals.  An
-# object-array sum over a 1-D table returns a bare Fraction; asarray keeps
-# every message an array with a .max().
+# object-array sum over a 1-D table returns a bare Fraction.
 _fraction = np.frompyfunc(Fraction, 1, 1)
 _RATIONAL = _Semiring(lambda h, lengths: _fraction(h) * _fraction(lengths), _fraction,
-                      np.multiply, lambda t: np.asarray(t.sum(axis=0)), np.divide,
-                      Fraction(0), lambda scales: math.prod(scales, start=Fraction(1)))
+                      np.multiply, np.add.reduce, np.divide, Fraction(0),
+                      lambda scales: math.prod(scales, start=Fraction(1)))
 
 
 def _factors(instance: Instance, ring: _Semiring) -> tuple:
@@ -204,14 +200,17 @@ def _factors(instance: Instance, ring: _Semiring) -> tuple:
 
 
 def _product(factors: list, scope: Sequence[int], ring: _Semiring, n_states: int):
-    """The product of (scope, table) ``factors``, broadcast over ``scope``."""
-    tables = []
+    """The running product, in bucket order, of (scope, table) ``factors``
+    broadcast over ``scope``.  A factor over the whole scope already has its
+    axes in scope order; only a narrower one is reshaped."""
+    width = len(scope)
+    mul = ring.mul
+    product = None
     for s, table in factors:
-        shape = [1] * len(scope)
-        for a in s:
-            shape[scope.index(a)] = n_states
-        tables.append(table.reshape(shape))
-    return functools.reduce(ring.mul, tables)
+        if len(s) < width:
+            table = table.reshape([n_states if a in s else 1 for a in scope])
+        product = table if product is None else mul(product, table)
+    return product
 
 
 def _eliminate(node_factors: np.ndarray, edges: list, edge_factors: np.ndarray,
@@ -227,6 +226,14 @@ def _eliminate(node_factors: np.ndarray, edges: list, edge_factors: np.ndarray,
     divided by its maximum and Z combines those scales, so equal buckets
     give equal results whatever the graph's shape.  Disconnected components
     factorize with no special code.
+
+    An edge whose tuple has distinct nodes enters its bucket as a transposed
+    view of its table, axes in elimination order; only a tuple that repeats
+    a node goes through ``einsum``, which takes the diagonal.  Each bucket
+    keeps the set of positions its factors cover, so its scope is a sort of
+    that set, and its product is a running ``ring.mul`` in the order the
+    factors arrived.  Every float operation and its order are those of the
+    0.7.0 pass (``tests/naive.py``), so every bit of the result is too.
 
     The nodes in ``keep`` are not summed out.  The result is then G's
     marginal table over them, axes in ascending node order, whose sum is Z
@@ -245,26 +252,36 @@ def _eliminate(node_factors: np.ndarray, edges: list, edge_factors: np.ndarray,
     # A factor is (scope, table): scope lists elimination positions in
     # ascending order and the table has one axis per scope entry, so a
     # factor always sits in the bucket of its first scope entry.
-    buckets = [[((position[u],), node_factors[u])] for u in order]
+    buckets = [[((i,), node_factors[u])] for i, u in enumerate(order)]
+    covers = [{i} for i in range(n_nodes)]
     for edge, table in zip(edges, edge_factors):
         axes = [position[u] for u in edge]
         scope = sorted(set(axes))
-        # einsum labels must be small: label each axis by its rank in scope.
-        # A node repeated in the tuple collapses the table to its diagonal.
-        table = np.einsum(table, [scope.index(a) for a in axes], range(len(scope)))
-        buckets[scope[0]].append((tuple(scope), table))
+        if len(scope) == len(axes):
+            if scope != axes:
+                table = table.transpose(sorted(range(len(axes)), key=axes.__getitem__))
+        else:
+            # einsum labels must be small: label each axis by its rank in
+            # scope.  The repeated node collapses the table to its diagonal.
+            table = np.einsum(table, [scope.index(a) for a in axes], range(len(scope)))
+        buckets[scope[0]].append((scope, table))
+        covers[scope[0]].update(scope)
 
+    sum0, div, zero = ring.sum0, ring.div, ring.zero
     n_out = n_nodes - len(keep)
     scales = []
     for i in range(n_out):
-        scope = sorted(set().union(*(s for s, _ in buckets[i])))
-        message = ring.sum0(_product(buckets[i], scope, ring, n_states))
-        scale = message.max()
-        if scale == ring.zero:
-            return ring.zero  # every assignment of the scope has weight 0
+        scope = sorted(covers[i])
+        message = sum0(_product(buckets[i], scope, ring, n_states))
+        # A bucket over node i alone leaves a scalar, its own maximum.
+        scale = message if len(scope) == 1 else np.maximum.reduce(message, axis=None)
+        if scale == zero:
+            return zero  # every assignment of the scope has weight 0
         scales.append(scale)
         if len(scope) > 1:
-            buckets[scope[1]].append((tuple(scope[1:]), ring.div(message, scale)))
+            rest = scope[1:]
+            buckets[rest[0]].append((rest, div(message, scale)))
+            covers[rest[0]].update(rest)
     if not keep:
         return ring.combine(scales)
     # Every factor left sits in a kept node's bucket and has only kept nodes.
@@ -282,6 +299,12 @@ def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
     with ``np.logaddexp.reduce``, so a zero factor stays the -inf sentinel.
     Each message is shifted to peak at 0 and log Z is the exact sum
     (``math.fsum``) of the shifts, so rounding does not grow with log Z.
+
+    An edge over distinct nodes enters its bucket as a transposed view of its
+    log table, and a bucket's product is a running ``np.add`` of its factors
+    in arrival order, so each call costs a few numpy calls per bucket.  The
+    float operations and their order are those of 0.7.0, so every result is
+    the same to the last bit.
     """
     return LogZ(_eliminate(*_factors(instance, _LOG), _LOG, cap))
 

@@ -6,14 +6,21 @@ multilinear forms are nested loops, and second derivatives come from central
 finite differences.  They stay independent of the code they check.  The
 Monte Carlo shard reference draws each node's states with ``rng.choice`` and
 gathers each edge's weight by a tuple index, on the shard's own substream.
+The bucket-elimination reference is the 0.7.0 pass: a masked log lift,
+``einsum`` placement of every edge, a scope built with ``scope.index`` and a
+``functools.reduce`` product.  It shares only the elimination order with the
+library, so the library's pass must give the same bits.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
+from gibbslab.partition import DEFAULT_STATE_CAP, _elimination_order
 from gibbslab.seeds import MC_SHARD, substream
 
 
@@ -113,3 +120,70 @@ def naive_mc_shard(node_probs, log_edges, edges, seed, shard_idx, size) -> np.nd
         cols = tuple(states[:, v] for v in edges[e_idx])
         lw = lw + log_edges[e_idx][cols]
     return lw
+
+
+def naive_safe_log(table: np.ndarray) -> np.ndarray:
+    """log of ``table`` with -inf where an entry is not positive."""
+    out = np.full(table.shape, -np.inf)
+    mask = table > 0
+    out[mask] = np.log(table[mask])
+    return out
+
+
+_fraction = np.frompyfunc(Fraction, 1, 1)
+NAIVE_LOG = SimpleNamespace(
+    nodes=lambda h, lengths: naive_safe_log(h * lengths), lift=naive_safe_log,
+    mul=np.add, sum0=lambda t: np.logaddexp.reduce(t, axis=0), div=np.subtract,
+    zero=-math.inf, combine=math.fsum)
+NAIVE_RATIONAL = SimpleNamespace(
+    nodes=lambda h, lengths: _fraction(h) * _fraction(lengths), lift=_fraction,
+    mul=np.multiply, sum0=lambda t: np.asarray(t.sum(axis=0)), div=np.divide,
+    zero=Fraction(0), combine=lambda scales: math.prod(scales, start=Fraction(1)))
+
+
+def naive_product(factors, scope, ring, n_states):
+    """The product of (scope, table) ``factors``, broadcast over ``scope``."""
+    tables = []
+    for s, table in factors:
+        shape = [1] * len(scope)
+        for a in s:
+            shape[scope.index(a)] = n_states
+        tables.append(table.reshape(shape))
+    return functools.reduce(ring.mul, tables)
+
+
+def naive_eliminate(instance, ring, keep=()):
+    """Z of ``instance`` in ``ring`` (NAIVE_LOG or NAIVE_RATIONAL), or its
+    marginal table over the nodes in ``keep``, by the 0.7.0 bucket pass."""
+    node_factors = ring.nodes(instance.potentials.node_tables,
+                              instance.model.domain.lengths)
+    edges = instance.graph.edges.tolist()
+    edge_factors = ring.lift(instance.potentials.edge_tables)
+    n_nodes, n_states = node_factors.shape
+    order, width = _elimination_order(n_nodes, edges, keep)
+    assert n_states ** width <= DEFAULT_STATE_CAP
+    position = [0] * n_nodes
+    for i, u in enumerate(order):
+        position[u] = i
+    buckets = [[((position[u],), node_factors[u])] for u in order]
+    for edge, table in zip(edges, edge_factors):
+        axes = [position[u] for u in edge]
+        scope = sorted(set(axes))
+        table = np.einsum(table, [scope.index(a) for a in axes], range(len(scope)))
+        buckets[scope[0]].append((tuple(scope), table))
+    n_out = n_nodes - len(keep)
+    scales = []
+    for i in range(n_out):
+        scope = sorted(set().union(*(s for s, _ in buckets[i])))
+        message = ring.sum0(naive_product(buckets[i], scope, ring, n_states))
+        scale = message.max()
+        if scale == ring.zero:
+            return ring.zero
+        scales.append(scale)
+        if len(scope) > 1:
+            buckets[scope[1]].append((tuple(scope[1:]), ring.div(message, scale)))
+    if not keep:
+        return ring.combine(scales)
+    rest = [factor for bucket in buckets[n_out:] for factor in bucket]
+    return ring.mul(naive_product(rest, range(n_out, n_nodes), ring, n_states),
+                    ring.combine(scales))

@@ -445,6 +445,15 @@ class TestOnePoolPerExperiment:
         run()
         assert pool.created == 1
 
+    @pytest.mark.parametrize("point, message", [
+        (InterpolationPoint(2, 3, 2), "n_nodes"),
+        (InterpolationPoint(9, 3, 3), "exceeds edge count 6"),
+    ], ids=["split", "t"])
+    def test_bad_point_opens_no_pool(self, pool, point, message):
+        with pytest.raises(ValueError, match=message):
+            estimate_mean_logz(IS1, 6, 1, 40, 0, point, n_workers=2)
+        assert pool.created == 0
+
     def test_coupled_chain_one_elimination_per_value(self, monkeypatch):
         """A coupled chain evaluates log Z once per (sample, t), through the
         name harness.log_z_exact, in this process when there is one worker."""

@@ -1,18 +1,21 @@
 """Property tests over random instances: the exact evaluators (log space and
 rational) against the rational oracle, component factorization at the
 disjoint-union endpoint, invariance under the discrete-to-continuous
-embedding, the sample-major interpolation chain against the per-point
-pipeline, the Monte Carlo shard against the per-node ``rng.choice``
-reference, and the closed-form minimal PSD shift against a direct scan and
+embedding, the bucket-elimination pass against the 0.7.0 reference bit for
+bit, the sample-major interpolation chain against the per-point pipeline,
+the Monte Carlo shard against the per-node ``rng.choice`` reference, and the
+closed-form minimal PSD shift against a direct scan and
 against the scipy formulation it replaced."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.linalg import eigh, null_space
 
 from gibbslab import (
@@ -39,10 +42,18 @@ from gibbslab import (
 )
 
 from gibbslab import harness, partition
-from gibbslab.partition import MC_SHARD_SIZE, _mc_shard, _safe_log
+from gibbslab.partition import DEFAULT_STATE_CAP, MC_SHARD_SIZE, _mc_shard, _safe_log
 from gibbslab.seeds import MC_SHARD, SAMPLE, derive_seed, substream
 
-from naive import naive_log_z, naive_mc_shard, naive_z
+from naive import (
+    NAIVE_LOG,
+    NAIVE_RATIONAL,
+    naive_eliminate,
+    naive_log_z,
+    naive_mc_shard,
+    naive_safe_log,
+    naive_z,
+)
 
 # Derandomized so every run checks the same examples.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -159,6 +170,79 @@ def test_forced_hard_core_conflict_is_zero(model, n, data):
     for u in set(edges[-1].tolist()):
         inst = replace_node_table(inst, u, [0.0, 1.0])
     assert log_z_exact(inst).value == -math.inf
+
+
+@st.composite
+def elimination_cases(draw):
+    """(instance, keep) for the bit-identity check against the 0.7.0 pass.
+    Oracle-style instances up to 2^12 assignments (zeros, Z = 0, embedded
+    models); in half of them an extra edge repeats a node (a loop at K = 2,
+    a diagonal at K = 3); a hard-core instance gets both ends of an extra
+    edge forced occupied in half of the draws; and up to three kept nodes."""
+    inst = draw(oracle_instances(max_assignments=4096))
+    n, k, q = inst.graph.n_nodes, inst.model.arity, inst.model.n_states
+    if draw(st.booleans()):
+        placement = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+        i, j = draw(st.permutations(range(k)))[:2]
+        placement[j] = placement[i]
+        rng = np.random.default_rng(draw(SEEDS))
+        table = np.where(rng.random((q,) * k) < 0.2, 0.0, rng.uniform(0.1, 2.0, (q,) * k))
+        inst = add_edge(inst, placement, table)
+    if inst.model.name.startswith("independent_set") and draw(st.booleans()):
+        edge = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
+        inst = add_edge(inst, edge, np.array([[1.0, 1.0], [1.0, 0.0]]))
+        for u in set(edge):
+            inst = replace_node_table(inst, u, [0.0, 1.0])
+    keep = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    return inst, tuple(sorted(keep))
+
+
+def _bits(value):
+    """A float by its hex, an array by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    return float(value).hex()
+
+
+@PROPERTY
+@given(elimination_cases())
+def test_log_elimination_matches_070_pass_bit_for_bit(case):
+    """log Z, and the log marginal table over ``keep`` (-inf entries and a
+    -inf Z included), are the 0.7.0 pass's to the last bit."""
+    inst, keep = case
+    assert _bits(log_z_exact(inst).value) == _bits(naive_eliminate(inst, NAIVE_LOG))
+    ring = partition._LOG
+    got = partition._eliminate(*partition._factors(inst, ring), ring, DEFAULT_STATE_CAP,
+                               keep=keep)
+    assert _bits(got) == _bits(naive_eliminate(inst, NAIVE_LOG, keep))
+
+
+@PROPERTY
+@given(elimination_cases())
+def test_rational_elimination_matches_070_pass(case):
+    """Z and the marginal table over ``keep`` as exact rationals, Z = 0
+    included, equal the 0.7.0 pass's."""
+    inst, keep = case
+    z = z_exact_rational(inst)
+    assert type(z) is Fraction and z == naive_eliminate(inst, NAIVE_RATIONAL)
+    ring = partition._RATIONAL
+    got = partition._eliminate(*partition._factors(inst, ring), ring, DEFAULT_STATE_CAP,
+                               keep=keep)
+    want = naive_eliminate(inst, NAIVE_RATIONAL, keep)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tolist() == np.asarray(want).tolist()
+
+
+@PROPERTY
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=4),
+              elements=st.one_of(st.just(0.0), st.floats(0.0, 1e300),
+                                 st.floats(0.0, 1e-300))))
+def test_safe_log_matches_masked_reference(table):
+    """The ``where=`` lift gives the masked-assignment lift byte for byte,
+    zeros, subnormals and huge entries included."""
+    got, want = _safe_log(table), naive_safe_log(table)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _block(inst, nodes, keep, offset):

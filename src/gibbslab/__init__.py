@@ -14,7 +14,6 @@ from .convexity import (
     certify_model,
     convexity_falsify,
     expected_alpha_minus_j_tensor,
-    ksat_rank1_verify,
     min_alpha_psd,
     multilinear_form,
     partition_kernel_classify,
@@ -54,6 +53,7 @@ from .models import (
     NodePotentialSpec,
     PiecewiseContinuous,
     PotentialDraws,
+    PowerSumWitness,
     SoftStateParams,
     ZOO_MODELS,
     build_model,
@@ -82,4 +82,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"

@@ -6,12 +6,12 @@ the multilinear forms they induce.  For K = 2 deterministic kernels the
 smallest shift alpha >= J_max making alpha - J positive semi-definite is a
 closed-form Schur complement of -J split along the zero-sum subspace R0 and
 the ones vector, computed with ``numpy.linalg`` alone (one SVD for the R0
-basis, one symmetric eigensolve of a block of order at most q - 1); for
-higher order the package offers exact closed-form checks where they exist
-(K-SAT rank-1 identity, Viana-Bray odd-moment cancellation) plus a
-randomized convexity falsifier.  The falsifier samples points and
-directions and evaluates exact second directional derivatives; it can refute
-convexity but never proves it.
+basis, one symmetric eigensolve of a block of order at most q - 1).  Every
+other finite edge law is certified by an exact check of the power-sum
+witness its model supplies (``models.PowerSumWitness``), which writes
+E tensor_{l<=r} (alpha - J) as a non-negative sum of K-th tensor powers.  A
+randomized falsifier samples points and directions and evaluates exact
+second directional derivatives; it can refute convexity but never proves it.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .models import ModelSpec, _sign_product_table, build_model, vb_f1, vb_f2
+from .models import ModelSpec
 from .seeds import FALSIFY, substream
 
 __all__ = [
     "KArray",
     "PsdCertificate",
     "FalsifyResult",
-    "KsatRank1Report",
     "PartitionClassification",
     "ModelCertificate",
     "tensor_product",
@@ -40,9 +39,6 @@ __all__ = [
     "min_alpha_psd",
     "expected_alpha_minus_j_tensor",
     "convexity_falsify",
-    "ksat_rank1_verify",
-    "vb_f2_moment",
-    "vb_decomposition_max_error",
     "partition_kernel_classify",
     "certify_model",
 ]
@@ -125,7 +121,10 @@ class PsdCertificate:
 
     verdict is "psd_for_alpha" (with the smallest alpha >= J_max) or
     "no_alpha" (with a zero-sum witness y whose limiting form y'(-J)y <= 0);
-    ``reason`` says which of the two no_alpha witnesses was found.
+    ``reason`` says which of the two no_alpha witnesses was found.  ``cond``
+    is the largest over the smallest non-flat eigenvalue of the R0 block B
+    (1.0 when none is inverted, None for no_alpha): alpha carries a relative
+    error of about eps * cond.
     """
 
     verdict: Literal["psd_for_alpha", "no_alpha"]
@@ -133,10 +132,12 @@ class PsdCertificate:
     witness: Optional[np.ndarray]
     tol: float
     reason: str = ""
+    cond: Optional[float] = None
 
     def to_json(self) -> dict:
         out = {"verdict": self.verdict, "tol": self.tol}
         out["alpha"] = self.alpha
+        out["cond"] = self.cond
         out["witness"] = None if self.witness is None else list(map(float, self.witness))
         return out
 
@@ -212,9 +213,11 @@ def min_alpha_psd(j: np.ndarray, j_max: float) -> PsdCertificate:
         return PsdCertificate(
             "no_alpha", None, vecs[:, coupled[0]], tol,
             reason="boundary kernel direction couples to the ones vector")
-    alpha = (float(np.sum(b[~flat] ** 2 / eigs[~flat])) - c) / n
+    inverted = eigs[~flat]
+    alpha = (float(np.sum(b[~flat] ** 2 / inverted)) - c) / n
+    cond = float(inverted.max() / inverted.min()) if inverted.size else 1.0
     return PsdCertificate("psd_for_alpha", j_max if alpha <= j_max + tol else alpha,
-                          None, tol)
+                          None, tol, cond=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -312,94 +315,6 @@ def convexity_falsify(array: KArray, orthant_only: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# K-SAT rank-1 identity
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KsatRank1Report:
-    """Exact comparison of the expected K-SAT tensor against its closed form."""
-
-    passed: bool
-    max_entry_error: float
-    max_form_error: float
-    coefficient: float
-    agreement_size: int
-
-
-def ksat_agreement_indicator(x_rows: np.ndarray) -> np.ndarray:
-    """Indicator over composite indices [n^r] of the agreement set.
-
-    A composite index (j_1, ..., j_r) belongs to the agreement set when
-    x^1_{j_1} = x^2_{j_2} = ... = x^r_{j_r}: every replica reads the same
-    spin value at its own position.  Restricted to diagonal indices this is
-    the usual set of positions where all replicas agree.
-    """
-    x = np.asarray(x_rows, dtype=np.int64)
-    r, n = x.shape
-    grids = np.indices((n,) * r)
-    vals = np.stack([x[l][grids[l]] for l in range(r)])
-    agree = np.all(vals == vals[0], axis=0)
-    return agree.reshape(n ** r).astype(float)
-
-
-def ksat_rank1_verify(beta: float, k: int,
-                      x_rows: Sequence[Sequence[int]]) -> KsatRank1Report:
-    """Verify E tensor(1 - J) = 2^-K (1-e^-beta)^r * u^{tensor K} entrywise.
-
-    r is the number of rows of ``x_rows`` and u the agreement-set indicator;
-    the induced multilinear form then equals the closed form
-    2^-K (1-e^-beta)^r (sum_{agreement} y)^K, checked on 16 random vectors.
-    Entries must agree within 1e-12 and forms within 1e-10 relative.
-    """
-    model = build_model("ksat", k=k, beta=beta)
-    exact = expected_alpha_minus_j_tensor(model, 1.0, x_rows)
-    u = ksat_agreement_indicator(x_rows)
-    coef = 0.5 ** k * (1.0 - math.exp(-beta)) ** len(x_rows)
-    closed = coef * reduce(np.multiply.outer, [u] * k)
-    entry_err = float(np.abs(exact.data - closed).max())
-
-    rng = substream(0, FALSIFY, 2)
-    form_err = 0.0
-    for _ in range(16):
-        y = rng.uniform(0.0, 2.0, size=exact.n)
-        lhs = multilinear_form(exact, y)
-        rhs = coef * float(u @ y) ** k
-        form_err = max(form_err, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    passed = entry_err <= 1e-12 and form_err <= 1e-10
-    return KsatRank1Report(passed, entry_err, form_err, coef, int(u.sum()))
-
-
-# ---------------------------------------------------------------------------
-# Viana-Bray symmetrization
-# ---------------------------------------------------------------------------
-
-def vb_f2_moment(beta: float, i_values: Sequence[float], i_probs: Sequence[float],
-                 r: int) -> float:
-    """E f2(I)^r with f2(I) = sinh(beta I); zero for odd r by symmetry."""
-    if len(i_values) != len(i_probs):
-        raise ValueError("i_values and i_probs must have equal length")
-    return float(sum(p * vb_f2(beta, v) ** r for v, p in zip(i_values, i_probs)))
-
-
-def vb_decomposition_max_error(model: ModelSpec) -> float:
-    """Max error of alpha - J = f1(I) - f2(I) prod x over all I and sign tuples.
-
-    Uses alpha = J_max, f1(I) = J_max - cosh(beta I), f2(I) = sinh(beta I).
-    """
-    if model.name not in ("viana_bray", "xor"):
-        raise ValueError("decomposition applies to Viana-Bray type models")
-    beta = model.params["beta"]
-    j_max = model.soft.j_max
-    i_values = model.params.get("i_values", [1.0, -1.0])
-    signs = _sign_product_table(model.arity)
-    worst = 0.0
-    for i_val, (table, _) in zip(i_values, model.edge_pot.support):
-        rhs = vb_f1(beta, i_val, j_max) - vb_f2(beta, i_val) * signs
-        worst = max(worst, float(np.abs((j_max - table) - rhs).max()))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # Zero-one kernels of partition form
 # ---------------------------------------------------------------------------
 
@@ -466,48 +381,66 @@ class ModelCertificate:
     detail: dict = field(default_factory=dict)
 
 
-def certify_model(model: ModelSpec) -> ModelCertificate:
-    """Certify the convexity hypothesis for a zoo model.
+def _check_power_sum(model: ModelSpec) -> dict:
+    """Detail of the exact witness check: the residual and, if it fails, why."""
+    w, k, support = model.witness, model.arity, model.edge_pot.support
+    n_b, n_s, q = w.phi.shape
+    if q != model.n_states or len(support) != w.coef.shape[0] * n_b ** k:
+        return {"reason": "witness does not match the edge law's size"}
+    # prod[(b_1..b_K), s, (x_1..x_K)] = prod_k phi[b_k, s, x_k], row-major.
+    prod = np.ones((1, n_s, 1))
+    for _ in range(k):
+        prod = (prod[:, None, :, :, None] * w.phi[None, :, :, None, :]).reshape(
+            prod.shape[0] * n_b, n_s, -1)
+    power_sum = np.einsum("as,bsx->abx", w.coef, prod).reshape(len(support), -1)
+    probs = reduce(np.multiply.outer, [w.coef_probs] + [w.phi_probs] * k).ravel()
+    tables = np.stack([table.ravel() for table, _ in support])
+    tol = 1e-12 * (1.0 + model.soft.j_max)
+    detail = {"residual": float(np.abs(model.soft.alpha - tables - power_sum).max())}
+    if (detail["residual"] > tol
+            or np.abs(probs - [p for _, p in support]).max() > 1e-12):
+        return {**detail, "reason": "witness does not reconstruct alpha - J"}
+    signed = np.nonzero((w.coef < 0).any(axis=0))[0]
+    if signed.size > 1:
+        return {**detail, "reason": "more than one coef column changes sign"}
+    if signed.size:
+        mirror = w.coef.copy()
+        mirror[:, signed[0]] *= -1.0
+        # Mass of the coef law at each row's value and at its mirror image.
+        mass = [(np.abs(w.coef[None] - rows[:, None]) <= tol).all(axis=2) @ w.coef_probs
+                for rows in (w.coef, mirror)]
+        if np.abs(mass[0] - mass[1]).max() > 1e-12:
+            return {**detail, "reason": "coef law is not symmetric in its "
+                                        "sign-changing column"}
+    if k % 2 and (w.phi < 0).any():
+        return {**detail, "reason": "odd arity with a sign-changing phi"}
+    return detail
 
-    K = 2 deterministic kernels get the closed-form minimal shift.  K-SAT is
-    certified by the exact rank-1 identity.  Viana-Bray (and XOR) with even
-    K is certified through the odd-moment cancellation plus a falsifier
-    probe; odd K is not certified.
+
+def certify_model(model: ModelSpec) -> ModelCertificate:
+    """Certify the convexity hypothesis E tensor_{l<=r} (alpha - J) convex.
+
+    K = 2 deterministic kernels get the closed-form minimal shift
+    (``psd_k2``).  A model with a power-sum witness gets an exact check of it
+    (``power_sum``): the witness must rebuild every (table, probability) of
+    the edge law, in order, within 1e-12 * (1 + J_max) and 1e-12; every coef
+    column must be >= 0 except at most one column o, and the coef law must be
+    invariant under negating o, so for every r the mixed moment
+    E prod_l coef[a, s_l] vanishes when o occurs an odd number of times and
+    is >= 0 otherwise; and K must be even or phi >= 0.  Then
+    E tensor (alpha - J) = sum a_s w_s^{tensor K} with every a_s >= 0, which
+    is convex on R^n (K even) or on the orthant (w_s >= 0).  ``detail``
+    holds the reconstruction residual and, when a step fails, its reason.
+    Any other model gets ``none``.
     """
     if model.edge_pot.deterministic and model.arity == 2:
         kernel = model.edge_pot.support[0][0]
         cert = min_alpha_psd(kernel, model.soft.j_max)
         return ModelCertificate(model.name, cert.verdict == "psd_for_alpha",
                                 "psd_k2", psd=cert)
-
-    if model.name == "ksat":
-        beta, k = model.params["beta"], model.params["k"]
-        probes = [np.array([[0, 1], [1, 0]]), np.array([[0, 1], [0, 1]])]
-        reports = [ksat_rank1_verify(beta, k, probe) for probe in probes]
-        ok = all(rep.passed for rep in reports)
-        return ModelCertificate(model.name, ok, "ksat_rank1",
-                                detail={"max_entry_error":
-                                        max(rep.max_entry_error for rep in reports)})
-
-    if model.name in ("viana_bray", "xor"):
-        beta = model.params["beta"]
-        i_values = model.params.get("i_values", [1.0, -1.0])
-        i_probs = model.params.get("i_probs", [0.5, 0.5])
-        odd = max(abs(vb_f2_moment(beta, i_values, i_probs, rr)) for rr in (1, 3))
-        even_ok = all(vb_f2_moment(beta, i_values, i_probs, rr) >= 0 for rr in (2, 4))
-        decomposition = vb_decomposition_max_error(model)
-        if model.arity % 2 != 0:
-            return ModelCertificate(model.name, False, "vb_even_k",
-                                    detail={"reason": "odd arity not certified",
-                                            "odd_moment": odd})
-        arr = expected_alpha_minus_j_tensor(
-            model, model.soft.alpha, np.array([[0, 1], [1, 0]]))
-        probe = convexity_falsify(arr, orthant_only=True, trials=2000, seed=0)
-        ok = (odd <= 1e-12 and even_ok and decomposition <= 1e-9
-              and not probe.violation_found)
-        return ModelCertificate(model.name, ok, "vb_even_k",
-                                detail={"odd_moment": odd,
-                                        "decomposition_error": decomposition})
-
+    if model.witness is not None:
+        detail = _check_power_sum(model)
+        return ModelCertificate(model.name, "reason" not in detail, "power_sum",
+                                detail=detail)
     return ModelCertificate(model.name, False, "none",
                             detail={"reason": "no certification route"})

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "NodePotentialSpec",
     "EdgePotentialSpec",
     "SoftStateParams",
+    "PowerSumWitness",
     "ModelSpec",
     "PotentialDraws",
     "ModelConfigError",
@@ -43,8 +44,6 @@ __all__ = [
     "decode_model",
     "model_from_config",
     "model_to_config",
-    "vb_f1",
-    "vb_f2",
 ]
 
 
@@ -207,8 +206,38 @@ class SoftStateParams:
 
 
 @dataclass(frozen=True)
+class PowerSumWitness:
+    """alpha - J as a sum of K-th powers over an independent edge law.
+
+    With xi = (a, b_1, ..., b_K), a ~ ``coef_probs`` and the b_k i.i.d. ~
+    ``phi_probs``, it states alpha - J_xi(x) = sum_s coef[a, s] prod_k
+    phi[b_k, s, x_k]; the edge law lists the xi in row-major order.  Shapes
+    are coef (n_a, S), coef_probs (n_a,), phi (n_b, S, q), phi_probs (n_b,).
+    """
+
+    coef: np.ndarray
+    coef_probs: np.ndarray
+    phi: np.ndarray
+    phi_probs: np.ndarray
+
+    def __post_init__(self):
+        keys = ("coef", "coef_probs", "phi", "phi_probs")
+        for key in keys:
+            object.__setattr__(self, key, np.asarray(getattr(self, key), dtype=float))
+        coef, phi = self.coef, self.phi
+        if (coef.ndim != 2 or phi.ndim != 3 or phi.shape[1] != coef.shape[1]
+                or self.coef_probs.shape != coef.shape[:1]
+                or self.phi_probs.shape != phi.shape[:1]):
+            raise ModelConfigError("witness shapes must be coef (n_a, S), coef_probs "
+                                   "(n_a,), phi (n_b, S, q) and phi_probs (n_b,)")
+        if not all(np.isfinite(getattr(self, key)).all() for key in keys):
+            raise ModelConfigError("witness entries must be finite")
+
+
+@dataclass(frozen=True)
 class ModelSpec:
-    """A named model: domain + potential laws + soft-state constants."""
+    """A named model: domain + potential laws + soft-state constants, and
+    optionally a power-sum witness of alpha - J for the convexity check."""
 
     name: str
     domain: SpinDomain
@@ -216,6 +245,7 @@ class ModelSpec:
     edge_pot: EdgePotentialSpec
     soft: SoftStateParams
     params: dict = field(default_factory=dict)
+    witness: Optional[PowerSumWitness] = None
 
     @property
     def arity(self) -> int:
@@ -319,6 +349,9 @@ def build_model(name: str, **params) -> ModelSpec:
     The stored soft-state constants are valid witnesses of the soft-state
     assumption for all admitted parameters (checkable via
     ``verify_soft_state``), and alpha equals j_max for every zoo model.
+    K-SAT, Viana-Bray and XOR carry a ``PowerSumWitness`` of alpha - J:
+    K-SAT is (1 - e^-beta) prod_k 1[x_k = z_k], Viana-Bray is
+    (alpha - cosh(beta I)) - sinh(beta I) prod_k x_k in the +/-1 encoding.
     """
     known = dict(params)
 
@@ -407,10 +440,13 @@ def build_model(name: str, **params) -> ModelSpec:
         soft = SoftStateParams(kappa=2.0,
                                rho_min=min(1.0, hval, math.exp(-beta * c_i)),
                                rho_max=rho_max, j_max=jmax, alpha=jmax)
+        witness = PowerSumWitness(
+            coef=[[jmax - math.cosh(beta * v), -math.sinh(beta * v)] for v in i_values],
+            coef_probs=i_probs, phi=[[[1.0, 1.0], [-1.0, 1.0]]], phi_probs=[1.0])
         spec = ModelSpec(name, Discrete(2),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(k, support=_vb_tables(k, beta, i_values, i_probs)),
-                         soft, {"k": k, "beta": beta, **extra})
+                         soft, {"k": k, "beta": beta, **extra}, witness)
 
     elif name == "ksat":
         k = int(take("k", required=True))
@@ -422,10 +458,12 @@ def build_model(name: str, **params) -> ModelSpec:
         h = np.ones(2)
         soft = SoftStateParams(kappa=2.0, rho_min=math.exp(-beta), rho_max=2.0,
                                j_max=1.0, alpha=1.0)
+        witness = PowerSumWitness(coef=[[1.0 - math.exp(-beta)]], coef_probs=[1.0],
+                                  phi=np.eye(2)[:, None, :], phi_probs=[0.5, 0.5])
         spec = ModelSpec(name, Discrete(2),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(k, support=_ksat_tables(k, beta)),
-                         soft, {"k": k, "beta": beta})
+                         soft, {"k": k, "beta": beta}, witness)
 
     else:
         raise ModelConfigError(f"unknown model {name!r}; known: {ZOO_MODELS}")
@@ -433,16 +471,6 @@ def build_model(name: str, **params) -> ModelSpec:
     if known:
         raise ModelConfigError(f"unexpected parameters for {name!r}: {sorted(known)}")
     return spec
-
-
-def vb_f1(beta: float, i: float, j_max: float) -> float:
-    """Even part of the Viana-Bray shift: f1(I) = J_max - cosh(beta*I)."""
-    return j_max - math.cosh(beta * i)
-
-
-def vb_f2(beta: float, i: float) -> float:
-    """Odd part of the Viana-Bray shift: f2(I) = sinh(beta*I)."""
-    return math.sinh(beta * i)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +482,14 @@ def embed_discrete(model: ModelSpec) -> ModelSpec:
 
     Potentials are constant per cell, so the continuous partition function of
     the image equals the discrete partition function of the preimage on every
-    graph.
+    graph, and the power-sum witness carries over unchanged.
     """
     if not isinstance(model.domain, Discrete):
         raise ModelConfigError("embed_discrete takes a model with a Discrete domain")
     q = model.domain.q
     domain = PiecewiseContinuous(tuple((float(i), float(i + 1)) for i in range(q)))
     return ModelSpec(model.name + EMBEDDED_SUFFIX, domain, model.node_pot,
-                     model.edge_pot, model.soft, dict(model.params))
+                     model.edge_pot, model.soft, dict(model.params), model.witness)
 
 
 def gaussian_kernel_potential(half_width: float = 6.0,

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's evaluation paths: partition functions
 are accumulated as exact rationals (floats are dyadic) with no log-sum-exp,
-multilinear forms are nested loops, and second derivatives come from central
-finite differences.  They stay independent of the code they check.  The
-Monte Carlo shard reference draws each node's states with ``rng.choice`` and
-gathers each edge's weight by a tuple index, on the shard's own substream.
+multilinear forms and power sums of a convexity witness are nested loops,
+and second derivatives come from central finite differences.  They stay
+independent of the code they check.  The Monte Carlo shard reference draws
+each node's states with ``rng.choice`` and gathers each edge's weight by a
+tuple index, on the shard's own substream.
 The bucket-elimination reference is the 0.7.0 pass: a masked log lift,
 ``einsum`` placement of every edge, a scope built with ``scope.index`` and a
 ``functools.reduce`` product.  It shares only the elimination order with the
@@ -97,6 +98,56 @@ def naive_mean_shifted_product(x_rows, alpha, support, k) -> float:
                 term *= alpha - float(table[tuple(x[l][v] for v in placement)])
             total += term
     return total / n ** k
+
+
+def naive_witness_entry(witness, atom, spins) -> float:
+    """sum_s coef[a, s] prod_k phi[b_k, s, x_k] at the atom (a, b_1, ..., b_K)."""
+    a, bs = atom[0], atom[1:]
+    total = 0.0
+    for s in range(len(witness.coef[a])):
+        term = float(witness.coef[a][s])
+        for b, x in zip(bs, spins):
+            term *= float(witness.phi[b][s][x])
+        total += term
+    return total
+
+
+def _composite(idx, n, r):
+    """Per-replica positions of a composite index, replica 1 most significant."""
+    return [(idx // n ** (r - 1 - l)) % n for l in range(r)]
+
+
+def naive_power_sum_tensor(witness, x_rows, k) -> np.ndarray:
+    """E tensor_{l<=r} (alpha - J) from the witness alone: a loop over every
+    composite index tuple and every atom (a, b_1, ..., b_K) of the law."""
+    x = np.asarray(x_rows)
+    r, n = x.shape
+    out = np.zeros((n ** r,) * k)
+    for flat in itertools.product(range(n ** r), repeat=k):
+        composite = [_composite(idx, n, r) for idx in flat]
+        total = 0.0
+        for a in range(len(witness.coef_probs)):
+            for bs in itertools.product(range(len(witness.phi_probs)), repeat=k):
+                term = float(witness.coef_probs[a])
+                for b in bs:
+                    term *= float(witness.phi_probs[b])
+                for l in range(r):
+                    spins = [x[l][composite[pos][l]] for pos in range(k)]
+                    term *= naive_witness_entry(witness, (a, *bs), spins)
+                total += term
+        out[flat] = total
+    return out
+
+
+def naive_agreement_indicator(x_rows) -> np.ndarray:
+    """1 at the composite index (j_1, ..., j_r) when x^1_{j_1} = ... = x^r_{j_r}."""
+    x = np.asarray(x_rows)
+    r, n = x.shape
+    out = np.zeros(n ** r)
+    for idx in range(n ** r):
+        spins = {int(x[l][j]) for l, j in enumerate(_composite(idx, n, r))}
+        out[idx] = 1.0 if len(spins) == 1 else 0.0
+    return out
 
 
 def fd_second_derivative(data: np.ndarray, y, d, step=1e-4) -> float:

@@ -7,6 +7,7 @@ are pinned here; statistical criteria are seeded and therefore reproducible.
 
 import math
 import time
+from functools import reduce
 
 import numpy as np
 from scipy import stats
@@ -16,11 +17,13 @@ from gibbslab import (
     InterpolationPoint,
     add_edge,
     build_model,
+    certify_model,
     concentration_experiment,
     degree_stats,
     degree_tail_probability,
     edge_count,
     estimate_mean_logz,
+    expected_alpha_minus_j_tensor,
     interpolation_monotonicity,
     log_z_exact,
     logz_bounds,
@@ -37,11 +40,11 @@ from gibbslab import (
     sample_interpolated,
     verify_replay,
 )
-from gibbslab.convexity import ksat_rank1_verify, vb_f2_moment
 from gibbslab.harness import convergence_experiment
 from gibbslab.seeds import substream
 
 from conftest import merge_low_bins, random_instance
+from naive import naive_agreement_indicator, naive_power_sum_tensor
 
 IS1 = build_model("independent_set", **{"lambda": 1.0})
 ZOO = ("independent_set", "potts", "ising", "viana_bray", "xor", "ksat")
@@ -194,18 +197,33 @@ def test_criterion_05_restricted_convexity_cross_validation():
 
 
 def test_criterion_06_ksat_identity_and_vb_moments():
-    """K-SAT rank-1 identity exact at 1e-12; Viana-Bray odd moments vanish."""
+    """K-SAT rank-1 identity exact at 1e-12; Viana-Bray odd moments vanish.
+
+    The expected K-SAT tensor matches the power sum of the model's witness
+    and the closed form 2^-K (1-e^-beta)^r u^{tensor K} over the agreement
+    indicator u, and the certificate's residual is within 1e-12; the
+    two-point odd moments are those of the Viana-Bray witness's
+    sign-changing column."""
     rng = np.random.default_rng(1006)
     worst = 0.0
     for k in (2, 3):
+        model = build_model("ksat", k=k, beta=0.7)
+        cert = certify_model(model)
+        assert cert.certified and cert.detail["residual"] <= 1e-12
         for r in (1, 2):
             for n in (1, 2, 3):
                 x = rng.integers(0, 2, size=(r, n))
-                rep = ksat_rank1_verify(0.7, k, x)
-                assert rep.passed, (k, r, n)
-                worst = max(worst, rep.max_entry_error)
-    exact_zero = all(vb_f2_moment(0.9, [1.0, -1.0], [0.5, 0.5], r) == 0.0
-                     for r in (1, 3, 5))
+                exact = expected_alpha_minus_j_tensor(model, 1.0, x).data
+                u = naive_agreement_indicator(x)
+                closed = 0.5 ** k * (1.0 - math.exp(-0.7)) ** r * reduce(
+                    np.multiply.outer, [u] * k)
+                worst = max(worst, float(np.abs(exact - closed).max()),
+                            float(np.abs(exact - naive_power_sum_tensor(
+                                model.witness, x, k)).max()))
+    w = build_model("viana_bray", k=2, beta=0.9).witness
+    moments = [sum(float(p) * float(c) ** r for p, c in zip(w.coef_probs, w.coef[:, 1]))
+               for r in (1, 3, 5)]
+    exact_zero = moments == [0.0, 0.0, 0.0]
     # three-point law: Monte Carlo mean of f2^r within 3 SE of zero
     beta, values, probs = 0.8, np.array([1.2, 0.0, -1.2]), np.array([0.25, 0.5, 0.25])
     draws = substream(1006, 0).choice(values, size=200_000, p=probs)

@@ -1,31 +1,37 @@
-"""Tensor products, PSD certification, falsifier, and closed-form identities."""
+"""Tensor products, PSD certification, falsifier, and power-sum witnesses."""
 
+import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gibbslab import (
+    EdgePotentialSpec,
     KArray,
+    ModelConfigError,
+    PowerSumWitness,
     build_model,
     certify_model,
     convexity_falsify,
     expected_alpha_minus_j_tensor,
-    ksat_rank1_verify,
     min_alpha_psd,
     multilinear_form,
     partition_kernel_classify,
     restricted_definite_on_r0,
     tensor_product,
 )
-from gibbslab.convexity import vb_decomposition_max_error, vb_f2_moment
 
 from naive import (
     fd_second_derivative,
+    naive_agreement_indicator,
     naive_mean_shifted_product,
     naive_multilinear,
+    naive_power_sum_tensor,
     naive_tensor_entry,
+    naive_witness_entry,
 )
 
 IS_KERNEL = np.array([[1.0, 1.0], [1.0, 0.0]])
@@ -221,7 +227,28 @@ class TestMinAlphaPsd:
     def test_certificate_json(self):
         out = min_alpha_psd(IS_KERNEL, 1.0).to_json()
         assert out["verdict"] == "psd_for_alpha"
-        assert set(out) == {"verdict", "alpha", "witness", "tol"}
+        assert set(out) == {"verdict", "alpha", "witness", "tol", "cond"}
+
+    def test_zoo_kernels_well_conditioned(self):
+        for m in (build_model("independent_set", **{"lambda": 1.0}),
+                  build_model("potts", q=3, beta=0.5),
+                  build_model("potts", q=5, beta=1.5),
+                  build_model("ising", beta=0.5, h=2.0)):
+            cert = certify_model(m).psd
+            assert 1.0 <= cert.cond <= 1.0 + 1e-12, m.name
+        assert min_alpha_psd(np.diag([-1.0, 1.0]), 1.0).cond is None
+
+    def test_near_flat_kernel_ill_conditioned(self):
+        """-J on R0 with eigenvalues 1 and 1e-8, just above the 1e-9 * (1 +
+        max |J|) flat tolerance: the shift inverts a block of cond 1e8."""
+        rng = np.random.default_rng(16)
+        n = 3
+        basis = np.linalg.svd(np.ones((1, n)))[2][1:].T
+        e, w = np.ones(n), rng.normal(size=n)
+        j = -basis @ np.diag([1.0, 1e-8]) @ basis.T + 0.3 * (np.outer(e, w) + np.outer(w, e))
+        cert = min_alpha_psd(j, float(np.abs(j).max()))
+        assert cert.verdict == "psd_for_alpha"
+        assert cert.cond >= 1e5
 
 
 class TestExpectedTensor:
@@ -231,13 +258,18 @@ class TestExpectedTensor:
         np.testing.assert_allclose(arr.data, 1.0 - IS_KERNEL)
 
     def test_vb_odd_moments_vanish_exactly(self):
+        """The witness's sign-changing column -sinh(beta I) has exactly zero
+        odd moments under the two-point law."""
+        w = build_model("viana_bray", k=2, beta=0.8).witness
+        moment = lambda r: sum(float(p) * float(c) ** r  # noqa: E731
+                               for p, c in zip(w.coef_probs, w.coef[:, 1]))
         for r in (1, 3, 5):
-            assert vb_f2_moment(0.8, [1.0, -1.0], [0.5, 0.5], r) == 0.0
-        assert vb_f2_moment(0.8, [1.0, -1.0], [0.5, 0.5], 2) > 0.0
+            assert moment(r) == 0.0
+        assert moment(2) > 0.0
 
     def test_vb_moment_law_lengths_must_match(self):
-        with pytest.raises(ValueError, match="equal length"):
-            vb_f2_moment(0.8, [1.0, -1.0], [0.5], 2)
+        with pytest.raises(ModelConfigError, match="equal length"):
+            build_model("viana_bray", k=2, beta=0.8, i_values=[1.0, -1.0], i_probs=[0.5])
 
 
 class TestFalsifier:
@@ -297,31 +329,43 @@ class TestFalsifier:
                 assert not res.violation_found, (k, r)
 
 
+def _ksat_closed_form(beta, k, x_rows):
+    """2^-K (1 - e^-beta)^r u^{tensor K}, u the agreement indicator."""
+    u = naive_agreement_indicator(x_rows)
+    coef = 0.5 ** k * (1.0 - math.exp(-beta)) ** len(x_rows)
+    return coef, u, coef * functools.reduce(np.multiply.outer, [u] * k)
+
+
 class TestKsatRank1:
+    """The K-SAT witness is one term: E tensor (1 - J) = 2^-K (1 - e^-beta)^r
+    u^{tensor K} over the agreement indicator u."""
+
     def test_single_entry_case(self):
         """n=1, r=1: the lone entry is 2^-K (1 - e^-beta)."""
         for k in (2, 3):
             beta = 0.5
-            arr = expected_alpha_minus_j_tensor(build_model("ksat", k=k, beta=beta),
-                                                1.0, [[0]])
+            m = build_model("ksat", k=k, beta=beta)
+            arr = expected_alpha_minus_j_tensor(m, 1.0, [[0]])
             expect = 0.5 ** k * (1 - math.exp(-beta))
             np.testing.assert_allclose(arr.data, expect)
-            rep = ksat_rank1_verify(beta, k, [[0]])
-            assert rep.passed and rep.coefficient == pytest.approx(expect)
+            np.testing.assert_allclose(naive_power_sum_tensor(m.witness, [[0]], k),
+                                       expect, rtol=1e-15)
+            cert = certify_model(m)
+            assert cert.certified and cert.detail["residual"] <= 1e-12
 
     def test_beta_zero_all_zeros(self):
-        rep = ksat_rank1_verify(0.0, 3, [[0, 1], [1, 1]])
-        assert rep.passed
-        arr = expected_alpha_minus_j_tensor(build_model("ksat", k=3, beta=0.0),
-                                            1.0, [[0, 1], [1, 1]])
+        m = build_model("ksat", k=3, beta=0.0)
+        assert certify_model(m).certified
+        np.testing.assert_array_equal(m.witness.coef, 0.0)
+        arr = expected_alpha_minus_j_tensor(m, 1.0, [[0, 1], [1, 1]])
         np.testing.assert_array_equal(arr.data, 0.0)
 
     def test_against_brute_force_clause_expectation(self):
         """n=2, r=2, K=2 checked against an explicit sum over 4 sign tuples."""
         beta, k = 0.8, 2
         x = np.array([[0, 1], [1, 0]])
-        arr = expected_alpha_minus_j_tensor(build_model("ksat", k=k, beta=beta),
-                                            1.0, x)
+        m = build_model("ksat", k=k, beta=beta)
+        arr = expected_alpha_minus_j_tensor(m, 1.0, x)
         n, r = 2, 2
         for flat_idx in itertools.product(range(n ** r), repeat=k):
             composite = [(idx // n, idx % n) for idx in flat_idx]
@@ -334,16 +378,27 @@ class TestKsatRank1:
                     term *= 1.0 - j_val
                 total += term
             assert arr.data[flat_idx] == pytest.approx(total, abs=1e-15)
+        np.testing.assert_allclose(naive_power_sum_tensor(m.witness, x, k), arr.data,
+                                   rtol=0, atol=1e-15)
 
     def test_exact_identity_sweep(self):
+        """Entries within 1e-12 of the witness's power sum and of the closed
+        form; forms within 1e-10 relative on 16 random vectors."""
         rng = np.random.default_rng(9)
         for k in (2, 3):
+            m = build_model("ksat", k=k, beta=0.6)
             for r in (1, 2):
                 for n in (1, 2, 3):
                     x = rng.integers(0, 2, size=(r, n))
-                    rep = ksat_rank1_verify(0.6, k, x)
-                    assert rep.passed, (k, r, n)
-                    assert rep.max_entry_error <= 1e-12
+                    exact = expected_alpha_minus_j_tensor(m, 1.0, x)
+                    coef, u, closed = _ksat_closed_form(0.6, k, x)
+                    power_sum = naive_power_sum_tensor(m.witness, x, k)
+                    assert np.abs(exact.data - power_sum).max() <= 1e-12, (k, r, n)
+                    assert np.abs(exact.data - closed).max() <= 1e-12, (k, r, n)
+                    for _ in range(16):
+                        y = rng.uniform(0.0, 2.0, size=exact.n)
+                        rhs = coef * float(u @ y) ** k
+                        assert abs(multilinear_form(exact, y) - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
 class TestPartitionKernels:
@@ -447,6 +502,10 @@ class TestModelCertification:
         assert certify_model(build_model("viana_bray", k=2, beta=0.5)).certified
         assert certify_model(build_model("xor", k=2, beta=0.5)).certified
         assert not certify_model(build_model("xor", k=3, beta=0.5)).certified
+        for name, params in (("ksat", {"k": 3, "beta": 0.5}),
+                             ("viana_bray", {"k": 4, "beta": 0.5}),
+                             ("xor", {"k": 3, "beta": 0.5})):
+            assert certify_model(build_model(name, **params)).method == "power_sum"
 
     def test_psd_alpha_equals_jmax(self):
         for m in (build_model("potts", q=2, beta=1.0),
@@ -456,4 +515,69 @@ class TestModelCertification:
 
     def test_vb_decomposition_tolerance(self):
         m = build_model("viana_bray", k=4, beta=0.8, h=1.5)
-        assert vb_decomposition_max_error(m) <= 1e-12 * m.soft.j_max
+        assert certify_model(m).detail["residual"] <= 1e-12 * m.soft.j_max
+        _assert_witness_rebuilds(m, 1e-12 * m.soft.j_max)
+
+
+def _assert_witness_rebuilds(model, tol):
+    """alpha - J = sum_s coef[a, s] prod_k phi[b_k, s, x_k] on every atom of
+    the law, listed in row-major order, by loops."""
+    w = model.witness
+    atoms = itertools.product(range(len(w.coef_probs)),
+                              *[range(len(w.phi_probs))] * model.arity)
+    for atom, (table, prob) in zip(atoms, model.edge_pot.support, strict=True):
+        assert prob == pytest.approx(
+            w.coef_probs[atom[0]] * math.prod(w.phi_probs[b] for b in atom[1:]), abs=1e-12)
+        for spins in itertools.product(range(model.n_states), repeat=model.arity):
+            err = model.soft.alpha - table[spins] - naive_witness_entry(w, atom, spins)
+            assert abs(err) <= tol, (atom, spins)
+
+
+def _vb_two_point(coef_rows, i_values, beta=0.5):
+    """Viana-Bray K=2 at beta with the given I law (uniform) and witness rows."""
+    m = build_model("viana_bray", k=2, beta=beta)
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    law = EdgePotentialSpec(2, tuple((np.exp(beta * v * signs), 1.0 / len(i_values))
+                                     for v in i_values))
+    n_s = len(coef_rows[0])
+    phi = [[[1.0, 1.0]] + [[-1.0, 1.0]] * (n_s - 1)]
+    witness = PowerSumWitness(coef_rows, [1.0 / len(i_values)] * len(i_values), phi, [1.0])
+    return replace(m, edge_pot=law, witness=witness)
+
+
+class TestPowerSumWitness:
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ModelConfigError, match="shapes"):
+            PowerSumWitness([[1.0]], [1.0], [[[1.0, 0.0]], [[0.0, 1.0]]], [1.0])
+        with pytest.raises(ModelConfigError, match="finite"):
+            PowerSumWitness([[math.nan]], [1.0], [[[1.0, 0.0]]], [1.0])
+
+    def _refused(self, model, why):
+        cert = certify_model(model)
+        assert not cert.certified and cert.method == "power_sum"
+        assert why in cert.detail["reason"]
+
+    def test_coef_off_by_1e6_refused(self):
+        m = build_model("ksat", k=3, beta=0.5)
+        self._refused(replace(m, witness=replace(m.witness, coef=m.witness.coef + 1e-6)),
+                      "reconstruct")
+
+    def test_asymmetric_odd_column_refused(self):
+        """I uniform on {1, -0.5}: the witness rebuilds J exactly, but the
+        law of -sinh(beta I) is not symmetric, so odd moments do not vanish."""
+        beta, alpha = 0.5, math.exp(0.5)
+        rows = [[alpha - math.cosh(beta * v), -math.sinh(beta * v)] for v in (1.0, -0.5)]
+        model = _vb_two_point(rows, (1.0, -0.5), beta)
+        assert certify_model(model).detail["residual"] <= 1e-12 * (1 + alpha)
+        self._refused(model, "not symmetric")
+
+    def test_two_sign_changing_columns_refused(self):
+        """-sinh(beta I) split into two equal columns: exact, but two columns
+        change sign."""
+        beta, alpha = 0.5, math.exp(0.5)
+        rows = [[alpha - math.cosh(beta * v), -0.5 * math.sinh(beta * v),
+                 -0.5 * math.sinh(beta * v)] for v in (1.0, -1.0)]
+        self._refused(_vb_two_point(rows, (1.0, -1.0), beta), "more than one")
+
+    def test_odd_arity_with_signed_phi_refused(self):
+        self._refused(build_model("xor", k=3, beta=0.5), "odd arity")

@@ -16,6 +16,7 @@ from gibbslab import (
     ZOO_MODELS,
     add_edge,
     build_model,
+    certify_model,
     concentration_experiment,
     convergence_experiment,
     embed_discrete,
@@ -44,6 +45,10 @@ from conftest import random_zoo_model
 from naive import naive_z
 
 IS1 = build_model("independent_set", **{"lambda": 1.0})
+ZOO_PARAMS = {"independent_set": {"lambda": 1.0}, "potts": {"q": 3, "beta": 0.7},
+              "ising": {"beta": 0.5, "h": 1.2},
+              "viana_bray": {"k": 2, "beta": 0.6, "h": 1.1},
+              "xor": {"k": 2, "beta": 0.8}, "ksat": {"k": 3, "beta": 0.9}}
 
 
 class TestEstimateMeanLogz:
@@ -364,11 +369,7 @@ class TestRecordsAndReplay:
     def test_zoo_model_and_embedding_replay(self, name):
         """Records and configs of every zoo model and of its embedding decode
         back to the same model."""
-        params = {"independent_set": {"lambda": 1.0}, "potts": {"q": 3, "beta": 0.7},
-                  "ising": {"beta": 0.5, "h": 1.2},
-                  "viana_bray": {"k": 2, "beta": 0.6, "h": 1.1},
-                  "xor": {"k": 2, "beta": 0.8}, "ksat": {"k": 3, "beta": 0.9}}[name]
-        base = build_model(name, **params)
+        base = build_model(name, **ZOO_PARAMS[name])
         for model in (base, embed_discrete(base)):
             rec = interpolation_monotonicity(model, 4, 2, 1, samples_per_t=4, seed=0,
                                              allow_uncertified=True)
@@ -376,6 +377,19 @@ class TestRecordsAndReplay:
             back, seed = model_from_config(model_to_config(model, 5))
             assert (back.name, back.params, seed) == (model.name, model.params, 5)
             assert back.domain == model.domain
+
+    @pytest.mark.parametrize("name", ZOO_MODELS)
+    def test_embedding_keeps_the_certificate(self, name):
+        """Certification reads the edge law and its witness, not the name, so
+        an embedded model gets its preimage's verdict, method and alpha."""
+        base = build_model(name, **ZOO_PARAMS[name])
+        certs = [certify_model(m) for m in (base, embed_discrete(base))]
+        assert len({(c.certified, c.method, c.psd and c.psd.alpha) for c in certs}) == 1
+
+    def test_embedded_ksat_runs_certified(self):
+        model = embed_discrete(build_model("ksat", k=3, beta=0.9))
+        rec = interpolation_monotonicity(model, 4, 2, 1, samples_per_t=4, seed=0)
+        assert rec.verdict in ("pass", "fail")
 
     @pytest.mark.parametrize("make,key,value", [
         (lambda: interpolation_monotonicity(IS1, 4, 2, 1, samples_per_t=4, seed=0),

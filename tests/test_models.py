@@ -21,7 +21,7 @@ from gibbslab import (
     make_instance,
     verify_soft_state,
 )
-from gibbslab.convexity import vb_decomposition_max_error
+from gibbslab.convexity import certify_model
 from gibbslab.models import model_from_config, model_to_config
 from gibbslab.seeds import EDGE_POTENTIALS, substream
 
@@ -239,10 +239,18 @@ class TestSoftStateAssumption:
 
 class TestVianaBrayStructure:
     def test_decomposition_identity(self):
-        """alpha - J = f1(I) - f2(I) prod x over all I values and sign tuples."""
+        """alpha - J = (alpha - cosh(beta I)) - sinh(beta I) prod x over all I
+        values and sign tuples: the witness's residual and a loop over the
+        tables agree within 1e-12 * J_max."""
         for k in (2, 3):
             m = build_model("viana_bray", k=k, beta=0.9, h=1.4)
-            assert vb_decomposition_max_error(m) <= 1e-12 * m.soft.j_max
+            assert certify_model(m).detail["residual"] <= 1e-12 * m.soft.j_max
+            for i_val, (table, _) in zip((1.0, -1.0), m.edge_pot.support):
+                for idx in np.ndindex(table.shape):
+                    spin_product = math.prod(2 * c - 1 for c in idx)
+                    rhs = (m.soft.alpha - math.cosh(0.9 * i_val)
+                           - math.sinh(0.9 * i_val) * spin_product)
+                    assert abs(m.soft.alpha - table[idx] - rhs) <= 1e-12 * m.soft.j_max
 
     def test_xor_parity_tables(self):
         """I=+1: even number of -1 spins gets e^beta; reversed for I=-1."""

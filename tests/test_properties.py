@@ -28,6 +28,7 @@ from gibbslab import (
     build_model,
     edge_count,
     embed_discrete,
+    expected_alpha_minus_j_tensor,
     interpolation_chain,
     log_z_exact,
     log_z_mc,
@@ -51,6 +52,7 @@ from naive import (
     naive_eliminate,
     naive_log_z,
     naive_mc_shard,
+    naive_power_sum_tensor,
     naive_safe_log,
     naive_z,
 )
@@ -454,3 +456,35 @@ def test_r0_split_matches_scipy_reference(n, scale, family, coupling, seed):
         tol = 1e-9 * (1.0 + float(np.abs(j).max()))
         want = j_max if alpha <= j_max + tol else alpha
         assert abs(cert.alpha - want) <= (1e-12 + 1e-14 * cond) * (1.0 + abs(want))
+
+
+@st.composite
+def witness_models(draw):
+    """K-SAT or Viana-Bray with a random symmetric law of I, K from 2 to 4."""
+    k, beta = draw(st.integers(2, 4)), draw(st.floats(0.0, 1.5))
+    if draw(st.booleans()):
+        return build_model("ksat", k=k, beta=beta)
+    mags = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(mags), max_size=len(mags)))
+    zero = draw(st.sampled_from([0.0, 0.5]))
+    total = 2.0 * sum(weights) + zero
+    i_values = [v for m in mags for v in (m, -m)] + [0.0] * (zero > 0)
+    i_probs = [w / total for w in weights for _ in "+-"] + [zero / total] * (zero > 0)
+    return build_model("viana_bray", k=k, beta=max(beta, 0.1), h=draw(st.floats(0.5, 2.0)),
+                       i_values=i_values, i_probs=i_probs)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(witness_models(), st.data())
+def test_expected_tensor_is_the_witness_power_sum(model, data):
+    """E tensor_{l<=r} (alpha - J) over the edge law equals the power sum its
+    witness states, summed by loops over the witness's own atoms, for r <= 3
+    replicas of up to 3 positions (at most 4096 entries)."""
+    k = model.arity
+    r = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, max(m for m in (1, 2, 3) if m ** (r * k) <= 4096)))
+    x = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                    min_size=r, max_size=r)))
+    got = expected_alpha_minus_j_tensor(model, model.soft.alpha, x).data
+    want = naive_power_sum_tensor(model.witness, x, k)
+    assert np.abs(got - want).max() <= 1e-12 * (1.0 + model.soft.j_max) ** r

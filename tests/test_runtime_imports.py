@@ -1,6 +1,7 @@
 """The runtime needs numpy only: importing the package and the CLI, and
-running `certify` and `logz`, loads no scipy module; and every name in each
-module's `__all__` exists.
+running `certify` (by the closed-form shift and by a power-sum witness) and
+`logz`, loads no scipy module; and every name in each module's `__all__`
+exists.
 
 The check runs in a fresh interpreter so that test modules which import
 scipy themselves cannot mask it.  The file has no test-only imports, so
@@ -27,6 +28,8 @@ for module in ("graphs", "models", "partition", "convexity", "harness"):
     exec(f"from gibbslab.{module} import *", {})
 
 assert cli_run(["certify", "--model", "potts", "--q", "3", "--beta", "1"]) == 0
+assert cli_run(["certify", "--model", "ksat", "--k", "3", "--beta", "0.5"]) == 0
+assert cli_run(["certify", "--model", "viana_bray", "--k", "2", "--beta", "0.5"]) == 0
 assert cli_run(["logz", "--model", "independent_set", "--lambda", "1",
                 "--n", "20", "--c", "1", "--seed", "7"]) == 0
 loaded = sorted(name for name in sys.modules

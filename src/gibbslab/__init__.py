@@ -7,12 +7,10 @@ interpolation monotonicity, superadditivity, and concentration.
 """
 
 from .convexity import (
-    FalsifyResult,
     KArray,
     ModelCertificate,
     PsdCertificate,
     certify_model,
-    convexity_falsify,
     expected_alpha_minus_j_tensor,
     min_alpha_psd,
     multilinear_form,
@@ -82,4 +80,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -169,18 +169,10 @@ def _cmd_logz(args) -> int:
 def _cmd_certify(args) -> int:
     model, _ = _model_from_args(args)
     cert = convexity.certify_model(model)
-    if cert.psd is not None:
-        verdict = cert.psd.verdict
-        if verdict == "psd_for_alpha":
-            print(f"PsdForAlpha({cert.psd.alpha:g})")
-        else:
-            print("NoAlphaExists")
-        print(json.dumps(cert.psd.to_json()))
-    else:
-        print(f"{'certified' if cert.certified else 'not certified'} "
-              f"via {cert.method}")
-        print(json.dumps({"model": cert.model, "certified": cert.certified,
-                          "method": cert.method, "detail": cert.detail}))
+    print(f"{'certified' if cert.certified else 'not certified'} via {cert.method}")
+    print(json.dumps({"model": cert.model, "certified": cert.certified,
+                      "method": cert.method, "alpha": model.soft.alpha,
+                      "detail": cert.detail}))
     return 0 if cert.certified else 1
 
 

@@ -2,22 +2,21 @@
 
 The main objects are order-K arrays with entries alpha - J evaluated on rows
 of spin values, their expected tensor products over a shared draw of J, and
-the multilinear forms they induce.  For K = 2 deterministic kernels the
-smallest shift alpha >= J_max making alpha - J positive semi-definite is a
-closed-form Schur complement of -J split along the zero-sum subspace R0 and
-the ones vector, computed with ``numpy.linalg`` alone (one SVD for the R0
-basis, one symmetric eigensolve of a block of order at most q - 1).  Every
-other finite edge law is certified by an exact check of the power-sum
-witness its model supplies (``models.PowerSumWitness``), which writes
-E tensor_{l<=r} (alpha - J) as a non-negative sum of K-th tensor powers.  A
-randomized falsifier samples points and directions and evaluates exact
-second directional derivatives; it can refute convexity but never proves it.
+the multilinear forms they induce.  ``certify_model`` has one route: an
+exact check of the power-sum witness the model supplies
+(``models.PowerSumWitness``), which writes E tensor_{l<=r} (alpha - J) as a
+non-negative sum of K-th tensor powers.  For K = 2 deterministic kernels the
+paper's lemmas are available directly: the smallest shift alpha >= J_max
+making alpha - J positive semi-definite is a closed-form Schur complement of
+-J split along the zero-sum subspace R0 and the ones vector, computed with
+``numpy.linalg`` alone (one SVD for the R0 basis, one symmetric eigensolve
+of a block of order at most q - 1), and zero-one kernels are classified by
+partition form.
 """
 
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Literal, Optional, Sequence
@@ -25,12 +24,10 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .models import ModelSpec
-from .seeds import FALSIFY, substream
 
 __all__ = [
     "KArray",
     "PsdCertificate",
-    "FalsifyResult",
     "PartitionClassification",
     "ModelCertificate",
     "tensor_product",
@@ -38,7 +35,6 @@ __all__ = [
     "restricted_definite_on_r0",
     "min_alpha_psd",
     "expected_alpha_minus_j_tensor",
-    "convexity_falsify",
     "partition_kernel_classify",
     "certify_model",
 ]
@@ -151,23 +147,29 @@ def _check_symmetric(j: np.ndarray) -> np.ndarray:
     scale = 1.0 + float(np.abs(j).max(initial=0.0))
     if float(np.abs(j - j.T).max(initial=0.0)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12")
-    return 0.5 * (j + j.T)
+    return 0.5 * j + 0.5 * j.T
 
 
-def _r0_split(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """-J in the orthonormal basis (u = ones/sqrt(n), R0): eigenvectors (as
-    columns in the original coordinates) and ascending eigenvalues of the R0
-    block B, the R0 part b of the u column in that eigenbasis, the u-u entry
-    c, and the tolerance 1e-9 * (1 + max |J|)."""
+def _r0_split(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
+    """-J / 2^e in the orthonormal basis (u = ones/sqrt(n), R0), where 2^e
+    brings max |J| into [0.5, 1): eigenvectors (as columns in the original
+    coordinates) and ascending eigenvalues of the R0 block B, the R0 part b
+    of the u column in that eigenbasis, the u-u entry c, the tolerance
+    1e-9 * (1 + max |J|) / 2^e, and e.  A power of two scales exactly, so
+    nothing overflows and J and 2^k J give the same split up to the
+    tolerance."""
     j = _check_symmetric(j)
     n = j.shape[0]
+    top = float(np.abs(j).max(initial=0.0))
+    e = math.frexp(top)[1]
+    j = np.ldexp(j, -e)
     u = np.full(n, 1.0 / math.sqrt(n))
     # The last n - 1 right singular vectors of the ones row span R0.
     basis = np.linalg.svd(np.ones((1, n)))[2][1:].T
     eigs, vecs = np.linalg.eigh(basis.T @ (-j) @ basis)
     b = vecs.T @ (basis.T @ (-j @ u))
     c = -float(u @ j @ u)
-    return basis @ vecs, eigs, b, c, 1e-9 * (1.0 + float(np.abs(j).max(initial=0.0)))
+    return basis @ vecs, eigs, b, c, math.ldexp(1e-9 * (1.0 + top), -e), e
 
 
 def restricted_definite_on_r0(j: np.ndarray) -> Literal["yes", "no", "boundary"]:
@@ -178,7 +180,7 @@ def restricted_definite_on_r0(j: np.ndarray) -> Literal["yes", "no", "boundary"]
     the restricted-convexity lemma, "yes" is equivalent to alpha - J being
     positive definite for all large alpha.
     """
-    _, eigs, _, _, tol = _r0_split(j)
+    _, eigs, _, _, tol, _ = _r0_split(j)
     low = float(eigs.min(initial=math.inf))
     if low > tol:
         return "yes"
@@ -198,26 +200,30 @@ def min_alpha_psd(j: np.ndarray, j_max: float) -> PsdCertificate:
     ones vector makes the form negative for every alpha (this is what rules
     out e.g. diag(-1, 1)).  Otherwise the smallest shift is
     (b' B^+ b - c) / n in closed form, and j_max itself is returned when
-    that is at most j_max + tolerance.  A non-finite j_max is rejected.
+    that is at most j_max + tolerance.  All of it is computed on J / 2^e
+    (see ``_r0_split``), so no intermediate overflows and 2^k J gets
+    exactly 2^k times the shift of J away from the tolerance; only a shift
+    beyond the float range raises OverflowError.  A non-finite j_max is
+    rejected.
     """
-    vecs, eigs, b, c, tol = _r0_split(j)
+    vecs, eigs, b, c, tol, e = _r0_split(j)
     if not math.isfinite(j_max):
         raise ValueError(f"j_max must be finite, got {j_max}")
-    n = b.size + 1
+    n, j_tol = b.size + 1, math.ldexp(tol, e)
     if eigs.size and eigs[0] < -tol:
-        return PsdCertificate("no_alpha", None, vecs[:, 0], tol,
+        return PsdCertificate("no_alpha", None, vecs[:, 0], j_tol,
                               reason="-J strictly indefinite on R0")
     flat = eigs <= tol
     coupled = np.nonzero(flat & (np.abs(b) > tol * math.sqrt(n)))[0]
     if coupled.size:
         return PsdCertificate(
-            "no_alpha", None, vecs[:, coupled[0]], tol,
+            "no_alpha", None, vecs[:, coupled[0]], j_tol,
             reason="boundary kernel direction couples to the ones vector")
     inverted = eigs[~flat]
-    alpha = (float(np.sum(b[~flat] ** 2 / inverted)) - c) / n
+    alpha = math.ldexp((float(np.sum(b[~flat] ** 2 / inverted)) - c) / n, e)
     cond = float(inverted.max() / inverted.min()) if inverted.size else 1.0
-    return PsdCertificate("psd_for_alpha", j_max if alpha <= j_max + tol else alpha,
-                          None, tol, cond=cond)
+    return PsdCertificate("psd_for_alpha", j_max if alpha <= j_max + j_tol else alpha,
+                          None, j_tol, cond=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -243,75 +249,6 @@ def expected_alpha_minus_j_tensor(model: ModelSpec, alpha: float,
         factors = [KArray(alpha - table[np.ix_(*([x[l]] * k))]) for l in range(r)]
         acc += prob * tensor_product(factors).data
     return KArray(acc)
-
-
-# ---------------------------------------------------------------------------
-# Convexity falsification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FalsifyResult:
-    """Outcome of sampling second directional derivatives of the form."""
-
-    violation_found: bool
-    trials: int
-    y: Optional[np.ndarray] = None
-    direction: Optional[np.ndarray] = None
-    second_derivative: Optional[float] = None
-
-
-def _pair_second_derivative(data: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Batched sum over slot pairs a != b of the form with d at slots a, b."""
-    k = data.ndim
-    batch = y.shape[0]
-    letters = string.ascii_lowercase
-    idx = letters[:k]
-    out = np.zeros(batch)
-    for a in range(k):
-        for b in range(a + 1, k):
-            operands = [d if s in (a, b) else y for s in range(k)]
-            spec = idx + "," + ",".join("z" + idx[s] for s in range(k)) + "->z"
-            out += 2.0 * np.einsum(spec, data, *operands, optimize=True)
-    return out
-
-
-def convexity_falsify(array: KArray, orthant_only: bool = True,
-                      trials: int = 10000, seed: int = 0) -> FalsifyResult:
-    """Sample points and directions hunting for a negative second derivative.
-
-    Points have log-uniform coordinates in [1e-3, 1e3] (strictly positive
-    when ``orthant_only``, random signs otherwise); directions are uniform on
-    the sphere.  The second directional derivative of the multilinear form is
-    a polynomial contraction evaluated in closed form and counts as negative
-    below -1e-9 times a scale of the form at the point.  This is a
-    falsification test (a necessary-condition sampler), not a proof of
-    convexity.
-    """
-    if array.order < 2:
-        raise ValueError("convexity needs order >= 2")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = substream(seed, FALSIFY)
-    dim, k = array.n, array.order
-    abs_sum = float(np.abs(array.data).sum())
-    batch = max(1, min(trials, (2 ** 22) // max(dim ** max(k - 1, 1), 1)))
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        y = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(b, dim)))
-        if not orthant_only:
-            y = y * rng.choice([-1.0, 1.0], size=(b, dim))
-        d = rng.standard_normal((b, dim))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        sd = _pair_second_derivative(array.data, y, d)
-        row_scale = np.maximum(1.0, np.abs(y).max(axis=1)) ** max(k - 2, 0)
-        tol = 1e-9 * (1.0 + abs_sum * row_scale * k * k)
-        bad = np.nonzero(sd < -tol)[0]
-        if bad.size:
-            i = int(bad[0])
-            return FalsifyResult(True, done + i + 1, y[i], d[i], float(sd[i]))
-        done += b
-    return FalsifyResult(False, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +313,7 @@ class ModelCertificate:
 
     model: str
     certified: bool
-    method: str
-    psd: Optional[PsdCertificate] = None
+    method: Literal["power_sum", "none"]
     detail: dict = field(default_factory=dict)
 
 
@@ -420,8 +356,7 @@ def _check_power_sum(model: ModelSpec) -> dict:
 def certify_model(model: ModelSpec) -> ModelCertificate:
     """Certify the convexity hypothesis E tensor_{l<=r} (alpha - J) convex.
 
-    K = 2 deterministic kernels get the closed-form minimal shift
-    (``psd_k2``).  A model with a power-sum witness gets an exact check of it
+    A model with a power-sum witness gets an exact check of it
     (``power_sum``): the witness must rebuild every (table, probability) of
     the edge law, in order, within 1e-12 * (1 + J_max) and 1e-12; every coef
     column must be >= 0 except at most one column o, and the coef law must be
@@ -431,16 +366,12 @@ def certify_model(model: ModelSpec) -> ModelCertificate:
     E tensor (alpha - J) = sum a_s w_s^{tensor K} with every a_s >= 0, which
     is convex on R^n (K even) or on the orthant (w_s >= 0).  ``detail``
     holds the reconstruction residual and, when a step fails, its reason.
-    Any other model gets ``none``.
+    A model without a witness gets ``none``, a hand-built K = 2 kernel
+    included: ``min_alpha_psd`` decides such a kernel on its own.
     """
-    if model.edge_pot.deterministic and model.arity == 2:
-        kernel = model.edge_pot.support[0][0]
-        cert = min_alpha_psd(kernel, model.soft.j_max)
-        return ModelCertificate(model.name, cert.verdict == "psd_for_alpha",
-                                "psd_k2", psd=cert)
-    if model.witness is not None:
-        detail = _check_power_sum(model)
-        return ModelCertificate(model.name, "reason" not in detail, "power_sum",
-                                detail=detail)
-    return ModelCertificate(model.name, False, "none",
-                            detail={"reason": "no certification route"})
+    if model.witness is None:
+        return ModelCertificate(model.name, False, "none",
+                                detail={"reason": "no certification route"})
+    detail = _check_power_sum(model)
+    return ModelCertificate(model.name, "reason" not in detail, "power_sum",
+                            detail=detail)

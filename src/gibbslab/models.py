@@ -316,6 +316,21 @@ def _ksat_tables(k: int, beta: float) -> tuple[tuple[np.ndarray, float], ...]:
     return tuple(out)
 
 
+def _exp(x: float) -> float:
+    """exp(x) for a J_max, refusing an argument whose exponential overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ModelConfigError(f"J_max = exp({x:g}) overflows a float; "
+                               "beta * max|I| must stay below 709.78") from None
+
+
+def _float_tuple(values) -> tuple[float, ...]:
+    if isinstance(values, str):
+        raise TypeError(f"expected a sequence of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 def _check_symmetric_law(values: Sequence[float], probs: Sequence[float]) -> None:
     if len(values) != len(probs):
         raise ModelConfigError("i_values and i_probs must have equal length")
@@ -349,21 +364,27 @@ def build_model(name: str, **params) -> ModelSpec:
     The stored soft-state constants are valid witnesses of the soft-state
     assumption for all admitted parameters (checkable via
     ``verify_soft_state``), and alpha equals j_max for every zoo model.
-    K-SAT, Viana-Bray and XOR carry a ``PowerSumWitness`` of alpha - J:
-    K-SAT is (1 - e^-beta) prod_k 1[x_k = z_k], Viana-Bray is
-    (alpha - cosh(beta I)) - sinh(beta I) prod_k x_k in the +/-1 encoding.
+    Every zoo model carries a ``PowerSumWitness`` of alpha - J: hard-core is
+    1[x_1 = 1] 1[x_2 = 1], Potts (1 - e^-beta) sum_c 1[x_1 = c] 1[x_2 = c],
+    Ising sinh(beta) (1 + x_1 x_2), K-SAT (1 - e^-beta) prod_k 1[x_k = z_k]
+    and Viana-Bray (alpha - cosh(beta I)) - sinh(beta I) prod_k x_k, in the
+    +/-1 encoding where it applies.  A parameter of the wrong type, or a
+    beta whose J_max = exp(beta * max|I|) overflows, is a ModelConfigError.
     """
     known = dict(params)
 
-    def take(key, default=None, required=False):
-        if key in known:
-            return known.pop(key)
-        if required:
-            raise ModelConfigError(f"model {name!r} requires parameter {key!r}")
-        return default
+    def take(key, default=None, required=False, conv=float):
+        if key not in known:
+            if required:
+                raise ModelConfigError(f"model {name!r} requires parameter {key!r}")
+            return default
+        try:
+            return conv(known.pop(key))
+        except (TypeError, ValueError) as exc:
+            raise ModelConfigError(f"bad parameter {key!r} for {name!r}: {exc}") from None
 
     if name == "independent_set":
-        lam = float(take("lambda", required=True))
+        lam = take("lambda", required=True)
         if lam <= 0:
             raise ModelConfigError(f"lambda must be positive, got {lam}")
         h = np.array([1.0, lam])
@@ -371,14 +392,16 @@ def build_model(name: str, **params) -> ModelSpec:
         j[1, 1] = 0.0
         soft = SoftStateParams(kappa=1.0, rho_min=min(lam, 1.0), rho_max=1.0 + lam,
                                j_max=1.0, alpha=1.0)
+        witness = PowerSumWitness(coef=[[1.0]], coef_probs=[1.0],
+                                  phi=[[[0.0, 1.0]]], phi_probs=[1.0])
         spec = ModelSpec(name, Discrete(2),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(2, support=((j, 1.0),)),
-                         soft, {"lambda": lam})
+                         soft, {"lambda": lam}, witness)
 
     elif name == "potts":
-        q = int(take("q", required=True))
-        beta = float(take("beta", required=True))
+        q = take("q", required=True, conv=int)
+        beta = take("beta", required=True)
         if q < 2:
             raise ModelConfigError(f"potts needs q >= 2, got {q}")
         if beta < 0:
@@ -389,33 +412,37 @@ def build_model(name: str, **params) -> ModelSpec:
         # soft-state witness valid for every beta.
         soft = SoftStateParams(kappa=float(q - 1), rho_min=min(1.0, math.exp(-beta)),
                                rho_max=float(q), j_max=1.0, alpha=1.0)
+        witness = PowerSumWitness(coef=[[1.0 - math.exp(-beta)] * q], coef_probs=[1.0],
+                                  phi=np.eye(q)[None], phi_probs=[1.0])
         spec = ModelSpec(name, Discrete(q),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(2, support=((j, 1.0),)),
-                         soft, {"q": q, "beta": beta})
+                         soft, {"q": q, "beta": beta}, witness)
 
     elif name == "ising":
-        beta = float(take("beta", required=True))
-        hval = float(take("h", 1.0))
+        beta = take("beta", required=True)
+        hval = take("h", 1.0)
         if beta < 0:
             raise ModelConfigError("ferromagnetic ising (beta < 0) is out of scope")
         if hval <= 0:
             raise ModelConfigError(f"external field h must be positive, got {hval}")
         h = np.array([1.0, hval])
-        eb = math.exp(beta)
+        eb = _exp(beta)
         j = np.array([[1.0 / eb, eb], [eb, 1.0 / eb]])
         jmax = eb
         rho_max = max(2.0 * max(1.0, hval), jmax)
         soft = SoftStateParams(kappa=1.0, rho_min=min(1.0, hval, 1.0 / eb),
                                rho_max=rho_max, j_max=jmax, alpha=jmax)
+        witness = PowerSumWitness(coef=[[math.sinh(beta)] * 2], coef_probs=[1.0],
+                                  phi=[[[1.0, 1.0], [-1.0, 1.0]]], phi_probs=[1.0])
         spec = ModelSpec(name, Discrete(2),
                          NodePotentialSpec(table=h),
                          EdgePotentialSpec(2, support=((j, 1.0),)),
-                         soft, {"beta": beta, "h": hval})
+                         soft, {"beta": beta, "h": hval}, witness)
 
     elif name in ("viana_bray", "xor"):
-        k = int(take("k", required=True))
-        beta = float(take("beta", required=True))
+        k = take("k", required=True, conv=int)
+        beta = take("beta", required=True)
         if k < 2:
             raise ModelConfigError(f"arity k must be >= 2, got {k}")
         if beta <= 0:
@@ -425,16 +452,16 @@ def build_model(name: str, **params) -> ModelSpec:
             i_values, i_probs = (1.0, -1.0), (0.5, 0.5)
             extra = {}
         else:
-            hval = float(take("h", 1.0))
+            hval = take("h", 1.0)
             if hval <= 0:
                 raise ModelConfigError(f"h must be positive, got {hval}")
-            i_values = tuple(float(v) for v in take("i_values", (1.0, -1.0)))
-            i_probs = tuple(float(p) for p in take("i_probs", (0.5, 0.5)))
+            i_values = take("i_values", (1.0, -1.0), conv=_float_tuple)
+            i_probs = take("i_probs", (0.5, 0.5), conv=_float_tuple)
             _check_symmetric_law(i_values, i_probs)
             extra = {"h": hval, "i_values": list(i_values), "i_probs": list(i_probs)}
         c_i = max(abs(v) for v in i_values)
         h = np.array([1.0, hval])
-        jmax = max(hval, math.exp(beta * c_i))
+        jmax = max(hval, _exp(beta * c_i))
         rho_max = max(2.0 * max(1.0, hval), jmax)
         # All colors are soft (J >= exp(-beta*c_I) > 0 everywhere): kappa = q.
         soft = SoftStateParams(kappa=2.0,
@@ -449,8 +476,8 @@ def build_model(name: str, **params) -> ModelSpec:
                          soft, {"k": k, "beta": beta, **extra}, witness)
 
     elif name == "ksat":
-        k = int(take("k", required=True))
-        beta = float(take("beta", required=True))
+        k = take("k", required=True, conv=int)
+        beta = take("beta", required=True)
         if k < 2:
             raise ModelConfigError(f"arity k must be >= 2, got {k}")
         if beta < 0:
@@ -589,13 +616,20 @@ def decode_model(name: str, params: dict) -> ModelSpec:
 
 
 def model_from_config(obj: dict) -> tuple[ModelSpec, int]:
-    """Build (model, seed) from a config object {"model", "params", "seed"}."""
+    """Build (model, seed) from a config object {"model", "params", "seed"}:
+    a string, an object and an integer."""
+    if not isinstance(obj, dict):
+        raise ModelConfigError("config must be an object")
     try:
-        name = obj["model"]
-        params = obj["params"]
-        seed = int(obj["seed"])
+        name, params, seed = obj["model"], obj["params"], obj["seed"]
     except KeyError as exc:
         raise ModelConfigError(f"config is missing field {exc}") from exc
+    if not isinstance(name, str):
+        raise ModelConfigError(f"config field 'model' must be a string, got {name!r}")
+    if not isinstance(params, dict):
+        raise ModelConfigError(f"config field 'params' must be an object, got {params!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ModelConfigError(f"config field 'seed' must be an integer, got {seed!r}")
     return decode_model(name, params), seed
 
 

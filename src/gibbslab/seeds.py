@@ -18,7 +18,7 @@ GRAPH = 0
 EDGE_POTENTIALS = 2
 SAMPLE = 3
 MC_SHARD = 4
-FALSIFY = 5
+# 5 is reserved: it tagged the randomized convexity falsifier, now deleted.
 EXPERIMENT = 6
 
 

@@ -2,9 +2,8 @@
 
 These deliberately avoid the library's evaluation paths: partition functions
 are accumulated as exact rationals (floats are dyadic) with no log-sum-exp,
-multilinear forms and power sums of a convexity witness are nested loops,
-and second derivatives come from central finite differences.  They stay
-independent of the code they check.  The Monte Carlo shard reference draws
+and multilinear forms and power sums of a convexity witness are nested
+loops.  They stay independent of the code they check.  The Monte Carlo shard reference draws
 each node's states with ``rng.choice`` and gathers each edge's weight by a
 tuple index, on the shard's own substream.
 The bucket-elimination reference is the 0.7.0 pass: a masked log lift,
@@ -148,14 +147,6 @@ def naive_agreement_indicator(x_rows) -> np.ndarray:
         spins = {int(x[l][j]) for l, j in enumerate(_composite(idx, n, r))}
         out[idx] = 1.0 if len(spins) == 1 else 0.0
     return out
-
-
-def fd_second_derivative(data: np.ndarray, y, d, step=1e-4) -> float:
-    """Central finite difference of t -> form(y + t d) at t = 0."""
-    y = np.asarray(y, dtype=float)
-    d = np.asarray(d, dtype=float)
-    f = lambda v: naive_multilinear(data, v)  # noqa: E731
-    return (f(y + step * d) - 2.0 * f(y) + f(y - step * d)) / step ** 2
 
 
 def naive_mc_shard(node_probs, log_edges, edges, seed, shard_idx, size) -> np.ndarray:

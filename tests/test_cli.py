@@ -21,9 +21,27 @@ class TestCertify:
                            "--lambda", "1")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "PsdForAlpha(1)"
+        assert lines[0] == "certified via power_sum"
         payload = json.loads(lines[1])
-        assert payload["verdict"] == "psd_for_alpha" and payload["alpha"] == 1.0
+        assert payload["certified"] and payload["alpha"] == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "independent_set", "--lambda", "1"),
+        ("--model", "potts", "--q", "3", "--beta", "1"),
+        ("--model", "ising", "--beta", "400"),
+        ("--model", "viana_bray", "--k", "2", "--beta", "0.5"),
+        ("--model", "xor", "--k", "2", "--beta", "0.5"),
+        ("--model", "ksat", "--k", "3", "--beta", "0.5"),
+    ])
+    def test_one_format_for_every_model(self, capsys, argv):
+        """One verdict line and one strict-JSON row with the model's alpha."""
+        code, out, _ = run(capsys, "certify", *argv)
+        assert code == 0
+        line, row = out.strip().splitlines()
+        assert line == "certified via power_sum"
+        payload = json.loads(row, parse_constant=lambda token: pytest.fail(token))
+        assert set(payload) == {"model", "certified", "method", "alpha", "detail"}
+        assert payload["model"] == argv[1] and math.isfinite(payload["alpha"])
 
     def test_uncertified_model_fails(self, capsys):
         code, out, _ = run(capsys, "certify", "--model", "xor", "--k", "3",
@@ -144,6 +162,35 @@ class TestUsageErrors:
         """Bad input is a usage error, never a traceback or a verdict."""
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "ising", "--beta", "710"),
+        ("--model", "viana_bray", "--k", "2", "--beta", "710"),
+        ("--model", "viana_bray", "--k", "2", "--beta", "400", "--i-values", "2,-2",
+         "--i-probs", "0.5,0.5"),
+    ])
+    def test_overflowing_beta_exits_2(self, capsys, argv):
+        """exp(beta * max|I|) beyond the float range is a usage error."""
+        code, out, err = run(capsys, "model", "show", *argv)
+        assert code == 2 and out == "" and "overflows" in err
+
+    @pytest.mark.parametrize("config", [
+        [1],
+        {"model": 5, "params": {}, "seed": 1},
+        {"model": "independent_set", "params": [1], "seed": 1},
+        {"model": "independent_set", "params": {"lambda": 1}, "seed": None},
+        {"model": "independent_set", "params": {"lambda": 1}, "seed": 1.7},
+        {"model": "independent_set", "params": {"lambda": [1]}, "seed": 1},
+        {"model": "viana_bray", "params": {"k": 2, "beta": 1, "i_values": 5}, "seed": 1},
+        {"model": "viana_bray", "params": {"k": 2, "beta": 1, "i_values": "00"}, "seed": 1},
+        {"model": "independent_set", "params": {"lambda": 1}},
+    ], ids=["not_object", "model_not_string", "params_not_object", "seed_null",
+            "seed_float", "lambda_list", "i_values_int", "i_values_string", "no_seed"])
+    def test_malformed_config_exits_2(self, capsys, tmp_path, config):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "model", "show", "--config", str(cfg))
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_out_of_range_parameter(self, capsys):
         code, _, err = run(capsys, "certify", "--model", "independent_set",

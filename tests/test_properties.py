@@ -26,6 +26,7 @@ from gibbslab import (
     PotentialDraws,
     add_edge,
     build_model,
+    certify_model,
     edge_count,
     embed_discrete,
     expected_alpha_minus_j_tensor,
@@ -460,31 +461,51 @@ def test_r0_split_matches_scipy_reference(n, scale, family, coupling, seed):
 
 @st.composite
 def witness_models(draw):
-    """K-SAT or Viana-Bray with a random symmetric law of I, K from 2 to 4."""
+    """A zoo model at random parameters, embedded in half of the draws:
+    K-SAT or Viana-Bray with a random symmetric law of I and K from 2 to 4,
+    or hard-core with lambda from 1e-3 to 1e3, Potts with q up to 9 or Ising,
+    at beta up to 700."""
+    name = draw(st.sampled_from(["ksat", "viana_bray", "independent_set", "potts", "ising"]))
     k, beta = draw(st.integers(2, 4)), draw(st.floats(0.0, 1.5))
-    if draw(st.booleans()):
-        return build_model("ksat", k=k, beta=beta)
-    mags = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
-    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(mags), max_size=len(mags)))
-    zero = draw(st.sampled_from([0.0, 0.5]))
-    total = 2.0 * sum(weights) + zero
-    i_values = [v for m in mags for v in (m, -m)] + [0.0] * (zero > 0)
-    i_probs = [w / total for w in weights for _ in "+-"] + [zero / total] * (zero > 0)
-    return build_model("viana_bray", k=k, beta=max(beta, 0.1), h=draw(st.floats(0.5, 2.0)),
-                       i_values=i_values, i_probs=i_probs)
+    extreme_beta = draw(st.sampled_from([0.0, 1.0, 10.0, 400.0, 700.0])) * draw(st.floats(0.5, 1.0))
+    if name == "ksat":
+        model = build_model("ksat", k=k, beta=beta)
+    elif name == "independent_set":
+        model = build_model(name, **{"lambda": 10.0 ** draw(st.floats(-3.0, 3.0))})
+    elif name == "potts":
+        model = build_model(name, q=draw(st.integers(2, 9)), beta=extreme_beta)
+    elif name == "ising":
+        model = build_model(name, beta=extreme_beta, h=draw(st.floats(0.5, 2.0)))
+    else:
+        mags = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(mags),
+                                max_size=len(mags)))
+        zero = draw(st.sampled_from([0.0, 0.5]))
+        total = 2.0 * sum(weights) + zero
+        i_values = [v for m in mags for v in (m, -m)] + [0.0] * (zero > 0)
+        i_probs = [w / total for w in weights for _ in "+-"] + [zero / total] * (zero > 0)
+        model = build_model("viana_bray", k=k, beta=max(beta, 0.1),
+                            h=draw(st.floats(0.5, 2.0)), i_values=i_values, i_probs=i_probs)
+    return embed_discrete(model) if draw(st.booleans()) else model
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(witness_models(), st.data())
 def test_expected_tensor_is_the_witness_power_sum(model, data):
     """E tensor_{l<=r} (alpha - J) over the edge law equals the power sum its
     witness states, summed by loops over the witness's own atoms, for r <= 3
-    replicas of up to 3 positions (at most 4096 entries)."""
-    k = model.arity
-    r = data.draw(st.integers(1, 3))
+    replicas of up to 3 positions (at most 4096 entries; fewer replicas where
+    J_max^r would overflow).  The exact witness check rebuilds the law and
+    certifies every model but Viana-Bray at odd K."""
+    k, j_max = model.arity, model.soft.j_max
+    cert = certify_model(model)
+    assert cert.detail["residual"] <= 1e-12 * (1.0 + j_max)
+    assert cert.certified == (k % 2 == 0 or not model.name.startswith("viana_bray"))
+    r = data.draw(st.integers(1, min(3, max(1, int(300 // math.log10(1.0 + j_max))))))
     n = data.draw(st.integers(1, max(m for m in (1, 2, 3) if m ** (r * k) <= 4096)))
-    x = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+    x = np.array(data.draw(st.lists(st.lists(st.integers(0, model.n_states - 1),
+                                             min_size=n, max_size=n),
                                     min_size=r, max_size=r)))
     got = expected_alpha_minus_j_tensor(model, model.soft.alpha, x).data
     want = naive_power_sum_tensor(model.witness, x, k)
-    assert np.abs(got - want).max() <= 1e-12 * (1.0 + model.soft.j_max) ** r
+    assert np.abs(got - want).max() <= 1e-12 * (1.0 + j_max) ** r

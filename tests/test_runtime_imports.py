@@ -1,7 +1,8 @@
-"""The runtime needs numpy only: importing the package and the CLI, and
-running `certify` (by the closed-form shift and by a power-sum witness) and
-`logz`, loads no scipy module; and every name in each module's `__all__`
-exists.
+"""The runtime needs numpy only: importing the package and the CLI, running
+`certify` (an exact power-sum witness check, for K = 2 and K = 3 models and
+for the refused XOR K = 3) and `logz`, and computing the closed-form PSD
+shift `min_alpha_psd`, loads no scipy module; and every name in each
+module's `__all__` exists.
 
 The check runs in a fresh interpreter so that test modules which import
 scipy themselves cannot mask it.  The file has no test-only imports, so
@@ -19,6 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 GUARD = """
 import sys
+import numpy as np
 import gibbslab
 import gibbslab.cli
 from gibbslab.cli import cli_run
@@ -30,6 +32,9 @@ for module in ("graphs", "models", "partition", "convexity", "harness"):
 assert cli_run(["certify", "--model", "potts", "--q", "3", "--beta", "1"]) == 0
 assert cli_run(["certify", "--model", "ksat", "--k", "3", "--beta", "0.5"]) == 0
 assert cli_run(["certify", "--model", "viana_bray", "--k", "2", "--beta", "0.5"]) == 0
+assert cli_run(["certify", "--model", "xor", "--k", "3", "--beta", "0.5"]) == 1
+cert = gibbslab.min_alpha_psd(np.array([[1.0, 1.0], [1.0, 0.0]]), 1.0)
+assert (cert.verdict, cert.alpha) == ("psd_for_alpha", 1.0)
 assert cli_run(["logz", "--model", "independent_set", "--lambda", "1",
                 "--n", "20", "--c", "1", "--seed", "7"]) == 0
 loaded = sorted(name for name in sys.modules

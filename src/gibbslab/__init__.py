@@ -80,4 +80,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"

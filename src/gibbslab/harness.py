@@ -9,9 +9,11 @@ parameters.  Statistical pass thresholds are module constants
 
 The interpolation chain is coupled and computed sample-major: one task
 derives a sample's seed, draws its whole chain (``interpolation_chain``) and
-its potentials once, and evaluates log Z at every t.  Each experiment call
-opens at most one process pool, into which the sample blocks of its whole
-chain or of all its sizes go.
+its potentials once, and evaluates log Z at every t.  The m + 1 instances of
+a sample share one PotentialDraws, which keeps the log tables the first
+evaluation lifted, so the tables are lifted once per sample.  Each experiment
+call opens at most one process pool, into which the sample blocks of its
+whole chain or of all its sizes go.
 """
 
 from __future__ import annotations
@@ -140,7 +142,10 @@ def _chain_task(args: tuple, lo: int, hi: int) -> np.ndarray:
 
     Sample i's seed, graph uniforms and potential draws are the same at
     every t (the draws depend on the model, M = m and the seed only), so
-    each is made once per sample and only the eliminations run per t.
+    each is made once per sample and only the eliminations run per t.  Each
+    t is still one call of ``log_z_exact`` on its own Instance; those
+    Instances share the sample's PotentialDraws, so the node and edge
+    tables are lifted into log space at the first t only.
     """
     model, n_nodes, c, n1, seed = args
     rows = []

@@ -188,6 +188,10 @@ class SoftStateParams:
     alpha: float
 
     def __post_init__(self):
+        for key in ("kappa", "rho_min", "rho_max", "j_max", "alpha"):
+            if not math.isfinite(getattr(self, key)):
+                raise ModelConfigError(f"soft-state constant {key} = "
+                                       f"{getattr(self, key)} is not finite")
         if not (0 < self.rho_min <= self.rho_max):
             raise ModelConfigError(
                 f"need 0 < rho_min <= rho_max, got ({self.rho_min}, {self.rho_max})")
@@ -267,15 +271,29 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PotentialDraws:
-    """Dense potential tables attached to a graph: one h per node, one J per edge."""
+    """Dense potential tables attached to a graph: one h per node, one J per edge.
+
+    Both tables are read-only float copies of the arrays passed in, so
+    ``_lifts`` can keep the exact evaluator's lifted tables, keyed by
+    semiring and spin domain: instances that share one PotentialDraws (the
+    graphs of an interpolation chain sample) lift them once.
+    """
 
     node_tables: np.ndarray   # (N, n_states)
     edge_tables: np.ndarray   # (M, n_states, ..., n_states), order = arity
+    _lifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for tables in (self.node_tables, self.edge_tables):
+        for key in ("node_tables", "edge_tables"):
+            tables = np.array(getattr(self, key), dtype=float)
             if not (np.isfinite(tables).all() and (tables >= 0).all()):
                 raise ValueError("potential tables must be finite and >= 0")
+            tables.setflags(write=False)
+            object.__setattr__(self, key, tables)
+
+    def __reduce__(self):
+        # Pickles and copies carry the tables only; a copy lifts afresh.
+        return PotentialDraws, (self.node_tables, self.edge_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +343,14 @@ def _exp(x: float) -> float:
                                "beta * max|I| must stay below 709.78") from None
 
 
+def _integer(value) -> int:
+    """An integer parameter: an int, a string of one, or an integral number."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def _float_tuple(values) -> tuple[float, ...]:
     if isinstance(values, str):
         raise TypeError(f"expected a sequence of numbers, got {values!r}")
@@ -368,8 +394,10 @@ def build_model(name: str, **params) -> ModelSpec:
     1[x_1 = 1] 1[x_2 = 1], Potts (1 - e^-beta) sum_c 1[x_1 = c] 1[x_2 = c],
     Ising sinh(beta) (1 + x_1 x_2), K-SAT (1 - e^-beta) prod_k 1[x_k = z_k]
     and Viana-Bray (alpha - cosh(beta I)) - sinh(beta I) prod_k x_k, in the
-    +/-1 encoding where it applies.  A parameter of the wrong type, or a
-    beta whose J_max = exp(beta * max|I|) overflows, is a ModelConfigError.
+    +/-1 encoding where it applies.  A parameter of the wrong type, a q or k
+    that is not an integer, a beta whose J_max = exp(beta * max|I|)
+    overflows, or a parameter that makes a soft-state constant non-finite
+    (an h or lambda near the float maximum, say) is a ModelConfigError.
     """
     known = dict(params)
 
@@ -380,7 +408,7 @@ def build_model(name: str, **params) -> ModelSpec:
             return default
         try:
             return conv(known.pop(key))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelConfigError(f"bad parameter {key!r} for {name!r}: {exc}") from None
 
     if name == "independent_set":
@@ -400,7 +428,7 @@ def build_model(name: str, **params) -> ModelSpec:
                          soft, {"lambda": lam}, witness)
 
     elif name == "potts":
-        q = take("q", required=True, conv=int)
+        q = take("q", required=True, conv=_integer)
         beta = take("beta", required=True)
         if q < 2:
             raise ModelConfigError(f"potts needs q >= 2, got {q}")
@@ -441,7 +469,7 @@ def build_model(name: str, **params) -> ModelSpec:
                          soft, {"beta": beta, "h": hval}, witness)
 
     elif name in ("viana_bray", "xor"):
-        k = take("k", required=True, conv=int)
+        k = take("k", required=True, conv=_integer)
         beta = take("beta", required=True)
         if k < 2:
             raise ModelConfigError(f"arity k must be >= 2, got {k}")
@@ -476,7 +504,7 @@ def build_model(name: str, **params) -> ModelSpec:
                          soft, {"k": k, "beta": beta, **extra}, witness)
 
     elif name == "ksat":
-        k = take("k", required=True, conv=int)
+        k = take("k", required=True, conv=_integer)
         beta = take("beta", required=True)
         if k < 2:
             raise ModelConfigError(f"arity k must be >= 2, got {k}")

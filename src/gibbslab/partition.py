@@ -136,52 +136,75 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
     log_z_exact, is the same in every process.  The nodes in ``keep`` come
     last, in ascending order.  The width is the number of nodes in the
     largest scope an elimination step creates, or in ``keep``.
+
+    Each node's neighbours are an ``int`` bitmask and its degree is the
+    mask's ``bit_count``.  A heap of (degree, node) entries is popped until
+    an entry is current; eliminating u joins its neighbours pairwise and
+    pushes each one's new degree.  The heap's least entry does not depend on
+    the order of the pushes, so this is the order of the set-based pass in
+    ``tests/naive.py`` on every input.
     """
-    adj: list[set[int]] = [set() for _ in range(n_nodes)]
+    adj = [0] * n_nodes
     for scope in scopes:
+        mask = 0
         for u in scope:
-            adj[u].update(scope)
+            mask |= 1 << u
+        for u in scope:
+            adj[u] |= mask
+    kept = 0
+    for u in keep:
+        kept |= 1 << u
+    heap = []
     for u in range(n_nodes):
-        adj[u].discard(u)
-    heap = [(len(nbrs), u) for u, nbrs in enumerate(adj) if u not in keep]
+        adj[u] &= ~(1 << u)
+        if not kept >> u & 1:
+            heap.append((adj[u].bit_count(), u))
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
     eliminated = [False] * n_nodes
     width = 0
     while heap:
-        degree, u = heapq.heappop(heap)
-        if eliminated[u] or degree != len(adj[u]):
+        degree, u = pop(heap)
+        nbrs = adj[u]
+        if eliminated[u] or degree != nbrs.bit_count():
             continue  # stale entry: u's degree changed after it was pushed
         eliminated[u] = True
         order.append(u)
-        width = max(width, degree + 1)
-        for v in adj[u]:
-            adj[v] |= adj[u]
-            adj[v] -= {u, v}
-            if v not in keep:
-                heapq.heappush(heap, (len(adj[v]), v))
+        if degree >= width:
+            width = degree + 1
+        # Each neighbour v of u gains u's other neighbours and loses u.
+        drop = ~(1 << u)
+        rest = nbrs
+        while rest:
+            v = rest.bit_length() - 1
+            low = 1 << v
+            rest ^= low
+            adj[v] = joined = (adj[v] | nbrs) & drop ^ low
+            if not kept & low:
+                push(heap, (joined.bit_count(), v))
     return order + sorted(keep), max(width, len(keep))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Semiring:
     """The operations one elimination pass needs: ``nodes`` builds the node
     factors from potentials and cell lengths, ``lift`` maps an edge table
-    into the ring, ``mul`` multiplies two broadcast tables, ``sum0`` sums out
-    axis 0, ``div`` divides a message by a scalar, ``zero`` is the ring's
-    zero and ``combine`` turns the per-bucket scales into Z."""
+    into the ring, ``mul`` multiplies two broadcast tables, ``sum_out(t,
+    axis)`` sums out an axis, ``div`` divides a message by a scalar,
+    ``zero`` is the ring's zero and ``combine`` turns the per-bucket scales
+    into Z."""
 
     nodes: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lift: Callable[[np.ndarray], np.ndarray]
     mul: Callable
-    sum0: Callable
+    sum_out: Callable
     div: Callable
     zero: object
     combine: Callable
 
 
 # Log space: a zero factor is the -inf sentinel and scales add exactly (fsum).
-# ufunc.reduce sums out axis 0 by default.
 _LOG = _Semiring(lambda h, lengths: _safe_log(h * lengths), _safe_log, np.add,
                  np.logaddexp.reduce, np.subtract, -math.inf, math.fsum)
 # Exact rationals: floats are dyadic, so Fraction(float) loses nothing, and
@@ -194,27 +217,45 @@ _RATIONAL = _Semiring(lambda h, lengths: _fraction(h) * _fraction(lengths), _fra
 
 
 def _factors(instance: Instance, ring: _Semiring) -> tuple:
-    """Node factors, edge list and edge factors of ``instance`` in ``ring``."""
-    return (ring.nodes(instance.potentials.node_tables, instance.model.domain.lengths),
-            instance.graph.edges.tolist(), ring.lift(instance.potentials.edge_tables))
+    """Node factors, edge list and edge factors of ``instance`` in ``ring``.
+
+    The factors are lifted once per (ring, spin domain) and kept, read-only,
+    on the instance's PotentialDraws, whose tables are read-only too.  Every
+    graph of an interpolation chain shares its sample's draws, so a chain
+    sample lifts its tables once, not once per t; a second model with another
+    domain over the same draws gets its own node lift.
+    """
+    draws = instance.potentials
+    domain = instance.model.domain
+    lifted = draws._lifts.get((ring, domain))
+    if lifted is None:
+        nodes = ring.nodes(draws.node_tables, domain.lengths)
+        edges = ring.lift(draws.edge_tables)
+        nodes.setflags(write=False)
+        edges.setflags(write=False)
+        # One read-only view per node and per edge, made once.
+        lifted = draws._lifts[ring, domain] = (tuple(nodes), tuple(edges))
+    return lifted[0], instance.graph.edges.tolist(), lifted[1]
 
 
 def _product(factors: list, scope: Sequence[int], ring: _Semiring, n_states: int):
     """The running product, in bucket order, of (scope, table) ``factors``
-    broadcast over ``scope``.  A factor over the whole scope already has its
-    axes in scope order; only a narrower one is reshaped."""
+    broadcast over ``scope``.  Scopes run in descending position, so a
+    factor over a tail of ``scope`` (the bucket's own node factor, say)
+    broadcasts as it is; only a factor that skips a position is reshaped."""
     width = len(scope)
     mul = ring.mul
     product = None
     for s, table in factors:
-        if len(s) < width:
+        if s[0] != scope[width - len(s)]:
             table = table.reshape([n_states if a in s else 1 for a in scope])
         product = table if product is None else mul(product, table)
     return product
 
 
-def _eliminate(node_factors: np.ndarray, edges: list, edge_factors: np.ndarray,
-               ring: _Semiring, cap: int, keep: Sequence[int] = ()):
+def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
+               edge_factors: Sequence[np.ndarray], ring: _Semiring, cap: int,
+               keep: Sequence[int] = ()):
     """Z in ``ring`` by bucket elimination in the min-degree order.
 
     The factors are already in ``ring``: one row of ``node_factors`` per
@@ -227,19 +268,23 @@ def _eliminate(node_factors: np.ndarray, edges: list, edge_factors: np.ndarray,
     give equal results whatever the graph's shape.  Disconnected components
     factorize with no special code.
 
-    An edge whose tuple has distinct nodes enters its bucket as a transposed
-    view of its table, axes in elimination order; only a tuple that repeats
-    a node goes through ``einsum``, which takes the diagonal.  Each bucket
-    keeps the set of positions its factors cover, so its scope is a sort of
-    that set, and its product is a running ``ring.mul`` in the order the
-    factors arrived.  Every float operation and its order are those of the
-    0.7.0 pass (``tests/naive.py``), so every bit of the result is too.
+    Every table keeps its axes in descending elimination position, so a
+    bucket sums out its last axis and a factor over a tail of the bucket's
+    scope broadcasts without a reshape.  An edge whose tuple has distinct
+    nodes enters its bucket as a transposed view of its table; only a tuple
+    that repeats a node goes through ``einsum``, which takes the diagonal.
+    Each bucket keeps the set of positions its factors cover, so its scope
+    is a sort of that set, and its product is a running ``ring.mul`` in the
+    order the factors arrived.  A bucket over one node sends no message and
+    is its own scale.  Every float operation and its order are those of the
+    0.7.0 pass (``tests/naive.py``), entry by entry, so every bit of the
+    result is too.
 
     The nodes in ``keep`` are not summed out.  The result is then G's
     marginal table over them, axes in ascending node order, whose sum is Z
     (the ring's zero when Z = 0).
     """
-    n_nodes, n_states = node_factors.shape
+    n_nodes, n_states = len(node_factors), len(node_factors[0])
     order, width = _elimination_order(n_nodes, edges, keep)
     if n_states ** width > cap:
         raise StateSpaceCapError(
@@ -250,44 +295,57 @@ def _eliminate(node_factors: np.ndarray, edges: list, edge_factors: np.ndarray,
         position[u] = i
 
     # A factor is (scope, table): scope lists elimination positions in
-    # ascending order and the table has one axis per scope entry, so a
-    # factor always sits in the bucket of its first scope entry.
+    # descending order and the table has one axis per scope entry, so a
+    # factor always sits in the bucket of its last scope entry.
     buckets = [[((i,), node_factors[u])] for i, u in enumerate(order)]
     covers = [{i} for i in range(n_nodes)]
     for edge, table in zip(edges, edge_factors):
         axes = [position[u] for u in edge]
-        scope = sorted(set(axes))
+        scope = sorted(set(axes), reverse=True)
         if len(scope) == len(axes):
-            if scope != axes:
-                table = table.transpose(sorted(range(len(axes)), key=axes.__getitem__))
+            if scope == axes[::-1]:
+                table = table.T
+            elif scope != axes:
+                table = table.transpose(
+                    sorted(range(len(axes)), key=axes.__getitem__, reverse=True))
         else:
             # einsum labels must be small: label each axis by its rank in
             # scope.  The repeated node collapses the table to its diagonal.
             table = np.einsum(table, [scope.index(a) for a in axes], range(len(scope)))
-        buckets[scope[0]].append((scope, table))
-        covers[scope[0]].update(scope)
+        buckets[scope[-1]].append((scope, table))
+        covers[scope[-1]].update(scope)
 
-    sum0, div, zero = ring.sum0, ring.div, ring.zero
+    sum_out, div, zero = ring.sum_out, ring.div, ring.zero
     n_out = n_nodes - len(keep)
     scales = []
     for i in range(n_out):
-        scope = sorted(covers[i])
-        message = sum0(_product(buckets[i], scope, ring, n_states))
-        # A bucket over node i alone leaves a scalar, its own maximum.
-        scale = message if len(scope) == 1 else np.maximum.reduce(message, axis=None)
+        cover = covers[i]
+        if len(cover) == 1:
+            # Every factor is over node i alone, so no factor is reshaped, the
+            # sum is a scalar, its own maximum, and no message leaves.
+            scale = sum_out(_product(buckets[i], (i,), ring, n_states), -1)
+            if scale == zero:
+                return zero
+            scales.append(scale)
+            continue
+        scope = sorted(cover, reverse=True)
+        message = sum_out(_product(buckets[i], scope, ring, n_states), -1)
+        # The largest entry, by Python's max: a message holds no NaN, so this
+        # is the value np.maximum.reduce gives.
+        scale = max(message.ravel().tolist())
         if scale == zero:
             return zero  # every assignment of the scope has weight 0
         scales.append(scale)
-        if len(scope) > 1:
-            rest = scope[1:]
-            buckets[rest[0]].append((rest, div(message, scale)))
-            covers[rest[0]].update(rest)
+        rest = scope[:-1]
+        buckets[rest[-1]].append((rest, div(message, scale)))
+        covers[rest[-1]].update(rest)
     if not keep:
         return ring.combine(scales)
-    # Every factor left sits in a kept node's bucket and has only kept nodes.
+    # Every factor left sits in a kept node's bucket and has only kept nodes;
+    # reversing the axes of their product puts them in ascending order.
     rest = [factor for bucket in buckets[n_out:] for factor in bucket]
-    return ring.mul(_product(rest, range(n_out, n_nodes), ring, n_states),
-                    ring.combine(scales))
+    marginal = _product(rest, range(n_nodes - 1, n_out - 1, -1), ring, n_states)
+    return ring.mul(marginal.transpose(), ring.combine(scales))
 
 
 def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
@@ -300,11 +358,14 @@ def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
     Each message is shifted to peak at 0 and log Z is the exact sum
     (``math.fsum``) of the shifts, so rounding does not grow with log Z.
 
-    An edge over distinct nodes enters its bucket as a transposed view of its
-    log table, and a bucket's product is a running ``np.add`` of its factors
-    in arrival order, so each call costs a few numpy calls per bucket.  The
-    float operations and their order are those of 0.7.0, so every result is
-    the same to the last bit.
+    The log tables are lifted once per PotentialDraws and spin domain and
+    reused by every later call on the same draws (the m + 1 graphs of an
+    interpolation chain sample, say).  An edge over distinct nodes enters its
+    bucket as a transposed view of its log table, a bucket's product is a
+    running ``np.add`` of its factors in arrival order, and a bucket over one
+    node is only summed, so each call costs a few numpy calls per bucket.
+    The float operations and their order are those of 0.7.0, so every result
+    is the same to the last bit.
     """
     return LogZ(_eliminate(*_factors(instance, _LOG), _LOG, cap))
 

@@ -8,11 +8,13 @@ each node's states with ``rng.choice`` and gathers each edge's weight by a
 tuple index, on the shard's own substream.
 The bucket-elimination reference is the 0.7.0 pass: a masked log lift,
 ``einsum`` placement of every edge, a scope built with ``scope.index`` and a
-``functools.reduce`` product.  It shares only the elimination order with the
-library, so the library's pass must give the same bits.
+``functools.reduce`` product, in the 0.7.0 min-degree order, computed on
+Python sets.  It shares no code with the library, so the library's order and
+pass must give the same order, width and bits.
 """
 
 import functools
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -20,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from gibbslab.partition import DEFAULT_STATE_CAP, _elimination_order
+from gibbslab.partition import DEFAULT_STATE_CAP
 from gibbslab.seeds import MC_SHARD, substream
 
 
@@ -183,6 +185,35 @@ NAIVE_RATIONAL = SimpleNamespace(
     zero=Fraction(0), combine=lambda scales: math.prod(scales, start=Fraction(1)))
 
 
+def naive_elimination_order(n_nodes, scopes, keep=()):
+    """The 0.7.0 greedy min-degree order and its width, on sets of
+    neighbours: ties to the lowest index, ``keep`` last in ascending order."""
+    adj = [set() for _ in range(n_nodes)]
+    for scope in scopes:
+        for u in scope:
+            adj[u].update(scope)
+    for u in range(n_nodes):
+        adj[u].discard(u)
+    heap = [(len(nbrs), u) for u, nbrs in enumerate(adj) if u not in keep]
+    heapq.heapify(heap)
+    order = []
+    eliminated = [False] * n_nodes
+    width = 0
+    while heap:
+        degree, u = heapq.heappop(heap)
+        if eliminated[u] or degree != len(adj[u]):
+            continue
+        eliminated[u] = True
+        order.append(u)
+        width = max(width, degree + 1)
+        for v in adj[u]:
+            adj[v] |= adj[u]
+            adj[v] -= {u, v}
+            if v not in keep:
+                heapq.heappush(heap, (len(adj[v]), v))
+    return order + sorted(keep), max(width, len(keep))
+
+
 def naive_product(factors, scope, ring, n_states):
     """The product of (scope, table) ``factors``, broadcast over ``scope``."""
     tables = []
@@ -202,7 +233,7 @@ def naive_eliminate(instance, ring, keep=()):
     edges = instance.graph.edges.tolist()
     edge_factors = ring.lift(instance.potentials.edge_tables)
     n_nodes, n_states = node_factors.shape
-    order, width = _elimination_order(n_nodes, edges, keep)
+    order, width = naive_elimination_order(n_nodes, edges, keep)
     assert n_states ** width <= DEFAULT_STATE_CAP
     position = [0] * n_nodes
     for i, u in enumerate(order):

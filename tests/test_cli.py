@@ -192,6 +192,33 @@ class TestUsageErrors:
         code, out, err = run(capsys, "model", "show", "--config", str(cfg))
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("config", [
+        {"model": "potts", "params": {"q": 2.5, "beta": 1}, "seed": 1},
+        {"model": "ksat", "params": {"k": 3.5, "beta": 0.5}, "seed": 1},
+    ], ids=["q", "k"])
+    def test_non_integral_q_or_k_exits_2(self, capsys, tmp_path, config):
+        """A non-integral q or k in a config is refused, not truncated."""
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "model", "show", "--config", str(cfg))
+        assert code == 2 and out == "" and "is not an integer" in err
+        config["params"] = {**config["params"], **{key: 3.0 for key in ("q", "k")
+                                                   if key in config["params"]}}
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run(capsys, "model", "show", "--config", str(cfg))
+        assert code == 0 and json.loads(out)["arity" if "k" in config["params"]
+                                              else "n_states"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "ising", "--beta", "1", "--h", "1e308"),
+        ("--model", "viana_bray", "--k", "2", "--beta", "1", "--h", "1e308"),
+    ], ids=["ising", "viana_bray"])
+    def test_overflowing_h_exits_2(self, capsys, argv):
+        """An h whose rho_max overflows is a usage error, not an Infinity in
+        the printed JSON."""
+        code, out, err = run(capsys, "model", "show", *argv)
+        assert code == 2 and out == "" and "rho_max = inf is not finite" in err
+
     def test_out_of_range_parameter(self, capsys):
         code, _, err = run(capsys, "certify", "--model", "independent_set",
                            "--lambda", "-1")

@@ -28,7 +28,7 @@ from gibbslab import (
     replay_record,
     verify_replay,
 )
-from gibbslab import harness
+from gibbslab import harness, partition
 from gibbslab.graphs import InterpolationPoint, edge_count
 from gibbslab.harness import (
     ExperimentRecord,
@@ -485,6 +485,27 @@ class TestOnePoolPerExperiment:
                                    n_workers=1)
         m = edge_count(n, c)
         assert calls == [m] * (samples * (m + 1))
+
+    def test_coupled_chain_lifts_once_per_sample(self, monkeypatch):
+        """The m + 1 graphs of a chain sample share its PotentialDraws, so
+        its node and edge tables are lifted into log space once per sample,
+        not once per (sample, t)."""
+        lifts = []
+
+        def nodes(h, lengths):
+            lifts.append("nodes")
+            return partition._safe_log(h * lengths)
+
+        def edges(tables):
+            lifts.append("edges")
+            return partition._safe_log(tables)
+
+        monkeypatch.setattr(partition, "_LOG", replace(partition._LOG, nodes=nodes,
+                                                       lift=edges))
+        samples = 7
+        interpolation_monotonicity(IS1, 6, 2, "1.5", samples_per_t=samples, seed=4,
+                                   n_workers=1)
+        assert lifts == ["nodes", "edges"] * samples
 
 
 class TestWorkersEnv:

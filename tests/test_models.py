@@ -84,6 +84,40 @@ class TestBuildModel:
         with pytest.raises(ModelConfigError):
             build_model("independent_set", **{"lambda": 1.0, "bogus": 3})
 
+    @pytest.mark.parametrize("name, params", [
+        ("potts", {"q": 2.5, "beta": 1.0}),
+        ("potts", {"q": math.inf, "beta": 1.0}),
+        ("ksat", {"k": 3.5, "beta": 0.5}),
+        ("viana_bray", {"k": 2.000001, "beta": 0.5}),
+        ("xor", {"k": math.nan, "beta": 0.5}),
+    ])
+    def test_non_integral_q_or_k_rejected(self, name, params):
+        """q and k are not truncated: 2.5 is refused, not read as 2."""
+        with pytest.raises(ModelConfigError, match="bad parameter"):
+            build_model(name, **params)
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), "3"])
+    def test_integral_q_and_k_accepted(self, value):
+        assert build_model("potts", q=value, beta=1.0).params["q"] == 3
+        assert build_model("ksat", k=value, beta=0.5).arity == 3
+
+    @pytest.mark.parametrize("name, params", [
+        ("ising", {"beta": 1.0, "h": 1e308}),
+        ("viana_bray", {"k": 2, "beta": 1.0, "h": 1e308}),
+        ("independent_set", {"lambda": math.inf}),
+    ])
+    def test_non_finite_soft_constant_rejected(self, name, params):
+        """A parameter whose rho_max overflows to inf is refused."""
+        with pytest.raises(ModelConfigError, match="rho_max = inf is not finite"):
+            build_model(name, **params)
+
+    @pytest.mark.parametrize("key", ["kappa", "rho_min", "rho_max", "j_max", "alpha"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_soft_state_params_finite(self, key, value):
+        constants = dict(kappa=1.0, rho_min=0.5, rho_max=2.0, j_max=1.0, alpha=1.0)
+        with pytest.raises(ModelConfigError, match=f"{key} = {value} is not finite"):
+            SoftStateParams(**{**constants, key: value})
+
     def test_soft_state_params_invariants(self):
         with pytest.raises(ModelConfigError):
             SoftStateParams(kappa=1, rho_min=2.0, rho_max=1.0, j_max=0.5, alpha=0.5)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from gibbslab import (
     Hypergraph,
     ModelSpec,
     NodePotentialSpec,
+    PiecewiseContinuous,
     PotentialDraws,
     SoftStateParams,
     StateSpaceCapError,
@@ -31,6 +33,7 @@ from gibbslab import (
     replace_node_table,
     sample_er,
 )
+from gibbslab import partition
 from gibbslab.partition import Instance, LogZ, McLogZ
 
 from conftest import random_instance
@@ -329,6 +332,50 @@ class TestTableValidation:
         payload[field] = table.tolist()
         with pytest.raises(ValueError, match="finite and >= 0"):
             instance_from_json(json.dumps(payload))
+
+
+class TestLiftOnce:
+    """A PotentialDraws keeps the exact evaluator's lifted tables, one lift
+    per semiring and spin domain, so its own tables are read-only."""
+
+    @pytest.mark.parametrize("field", ["node_tables", "edge_tables"])
+    def test_tables_are_read_only_copies(self, field):
+        source = {"node_tables": np.ones((2, 2)), "edge_tables": np.ones((1, 2, 2))}
+        draws = PotentialDraws(**source)
+        table = getattr(draws, field)
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 2.0
+        source[field].flat[0] = 2.0  # the caller's array stays its own
+        assert table.flat[0] == 1.0
+
+    def test_evaluated_draws_pickle_without_their_lifts(self):
+        inst = make_instance(IS1, _graph(3, [[0, 1], [1, 2]]), 0)
+        value = log_z_exact(inst).value
+        back = pickle.loads(pickle.dumps(inst))
+        assert back.potentials._lifts == {}
+        assert log_z_exact(back).value.hex() == value.hex()
+
+    def test_each_domain_gets_its_own_node_lift(self):
+        """One PotentialDraws under a discrete and a continuous q = 2 model,
+        evaluated in turn: each model's node factors are bit-equal to a
+        fresh lift, and each log Z to that of fresh draws."""
+        ising = build_model("ising", beta=0.6, h=1.4)
+        cells = replace(ising, domain=PiecewiseContinuous(((0.0, 0.5), (1.0, 3.0))))
+        graph = _graph(4, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
+        draws = make_instance(ising, graph, 5).potentials
+        values = []
+        for model in (ising, cells, ising, cells):
+            inst = Instance(graph, draws, model)
+            values.append(log_z_exact(inst).value)
+            fresh = PotentialDraws(draws.node_tables, draws.edge_tables)
+            assert values[-1].hex() == log_z_exact(Instance(graph, fresh, model)).value.hex()
+            nodes, _, edges = partition._factors(inst, partition._LOG)
+            want = partition._safe_log(draws.node_tables * model.domain.lengths)
+            assert np.array(nodes).tobytes() == want.tobytes()
+            assert np.array(edges).tobytes() == partition._safe_log(draws.edge_tables).tobytes()
+        assert values[0] == values[2] != values[1] == values[3]
 
 
 class TestContinuousModel:

@@ -51,6 +51,7 @@ from naive import (
     NAIVE_LOG,
     NAIVE_RATIONAL,
     naive_eliminate,
+    naive_elimination_order,
     naive_log_z,
     naive_mc_shard,
     naive_power_sum_tensor,
@@ -234,6 +235,22 @@ def test_rational_elimination_matches_070_pass(case):
     want = naive_eliminate(inst, NAIVE_RATIONAL, keep)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tolist() == np.asarray(want).tolist()
+
+
+@PROPERTY
+@given(st.integers(1, 60), st.integers(2, 4), st.data(), SEEDS)
+def test_elimination_order_matches_set_reference(n, k, data, seed):
+    """The bitmask min-degree pass gives the order and width of the 0.7.0
+    set-based pass on random hypergraphs: N up to 60, K from 2 to 4, from no
+    edges to 3N, tuples that repeat a node, and random kept nodes."""
+    rng = np.random.default_rng(seed)
+    scopes = rng.integers(0, n, size=(data.draw(st.integers(0, 3 * n)), k)).tolist()
+    if scopes and data.draw(st.booleans()):
+        scopes[0][-1] = scopes[0][0]  # a tuple that repeats a node
+    keep = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), max_size=6,
+                                           unique=True))))
+    got = partition._elimination_order(n, scopes, keep)
+    assert got == naive_elimination_order(n, scopes, keep)
 
 
 @PROPERTY

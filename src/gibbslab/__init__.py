@@ -7,16 +7,11 @@ interpolation monotonicity, superadditivity, and concentration.
 """
 
 from .convexity import (
-    KArray,
     ModelCertificate,
     PsdCertificate,
     certify_model,
-    expected_alpha_minus_j_tensor,
     min_alpha_psd,
-    multilinear_form,
     partition_kernel_classify,
-    restricted_definite_on_r0,
-    tensor_product,
 )
 from .graphs import (
     DegreeStats,
@@ -80,4 +75,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.9.1"
+__version__ = "0.10.0"

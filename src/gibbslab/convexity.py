@@ -1,17 +1,16 @@
-"""Convexity certification for shifted edge kernels and their tensor products.
+"""Convexity certification for shifted edge kernels.
 
-The main objects are order-K arrays with entries alpha - J evaluated on rows
-of spin values, their expected tensor products over a shared draw of J, and
-the multilinear forms they induce.  ``certify_model`` has one route: an
-exact check of the power-sum witness the model supplies
-(``models.PowerSumWitness``), which writes E tensor_{l<=r} (alpha - J) as a
-non-negative sum of K-th tensor powers.  For K = 2 deterministic kernels the
-paper's lemmas are available directly: the smallest shift alpha >= J_max
-making alpha - J positive semi-definite is a closed-form Schur complement of
--J split along the zero-sum subspace R0 and the ones vector, computed with
-``numpy.linalg`` alone (one SVD for the R0 basis, one symmetric eigensolve
-of a block of order at most q - 1), and zero-one kernels are classified by
-partition form.
+The paper's interpolation argument needs one hypothesis: E tensor_{l<=r}
+(alpha - J) convex, the expectation over one shared draw of J.
+``certify_model`` decides it by one exact check of the power-sum witness the
+model supplies (``models.PowerSumWitness``), which writes that expectation
+as a non-negative sum of K-th tensor powers.  For K = 2 deterministic
+kernels the paper's lemmas are available directly: the smallest shift
+alpha >= J_max making alpha - J positive semi-definite is a closed-form
+Schur complement of -J split along the zero-sum subspace R0 and the ones
+vector, computed with ``numpy.linalg`` alone (one SVD for the R0 basis, one
+symmetric eigensolve of a block of order at most q - 1), and zero-one
+kernels are classified by partition form.
 """
 
 from __future__ import annotations
@@ -19,92 +18,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 import numpy as np
 
 from .models import ModelSpec
 
 __all__ = [
-    "KArray",
     "PsdCertificate",
     "PartitionClassification",
     "ModelCertificate",
-    "tensor_product",
-    "multilinear_form",
-    "restricted_definite_on_r0",
     "min_alpha_psd",
-    "expected_alpha_minus_j_tensor",
     "partition_kernel_classify",
     "certify_model",
 ]
-
-KARRAY_CAP = 2 ** 20
-
-
-# ---------------------------------------------------------------------------
-# Order-K arrays and multilinear forms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KArray:
-    """Dense n-dimensional array of order k (shape (n,)*k, finite entries)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        if d.ndim < 1 or d.shape != (d.shape[0],) * d.ndim:
-            raise ValueError(f"array must be cubic, got shape {d.shape}")
-        if d.size > KARRAY_CAP:
-            raise ValueError(f"array with {d.size} entries exceeds cap {KARRAY_CAP}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("array entries must be finite")
-        object.__setattr__(self, "data", d)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def order(self) -> int:
-        return self.data.ndim
-
-
-def _pair_tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Composite index (i, j) -> i * dim(b) + j on every axis.
-    k = a.ndim
-    out = np.multiply.outer(a, b)
-    perm = [axis for d in range(k) for axis in (d, k + d)]
-    return out.transpose(perm).reshape((a.shape[0] * b.shape[0],) * k)
-
-
-def tensor_product(arrays: Sequence[KArray]) -> KArray:
-    """Tensor product over replicas: entry = prod_l A_l[i^l_1, ..., i^l_K].
-
-    The result is an n^r-dimensional array of the same order; the composite
-    index packs per-replica indices row-major (replica 1 most significant).
-    """
-    if not arrays:
-        raise ValueError("need at least one array")
-    n, k = arrays[0].n, arrays[0].order
-    for arr in arrays:
-        if arr.n != n or arr.order != k:
-            raise ValueError("all arrays must share dimension and order")
-    if (n ** len(arrays)) ** k > KARRAY_CAP:
-        raise ValueError("tensor product would exceed the dense storage cap")
-    return KArray(reduce(_pair_tensor, [arr.data for arr in arrays]))
-
-
-def multilinear_form(array: KArray, y: Sequence[float]) -> float:
-    """sum over index tuples of y_{i_1} ... y_{i_K} a_{i_1...i_K}."""
-    vec = np.asarray(y, dtype=float)
-    if vec.shape != (array.n,):
-        raise ValueError(f"vector length {vec.shape} != array dimension {array.n}")
-    t = array.data
-    for _ in range(array.order):
-        t = np.tensordot(t, vec, axes=([0], [0]))
-    return float(t)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +56,6 @@ class PsdCertificate:
     tol: float
     reason: str = ""
     cond: Optional[float] = None
-
-    def to_json(self) -> dict:
-        out = {"verdict": self.verdict, "tol": self.tol}
-        out["alpha"] = self.alpha
-        out["cond"] = self.cond
-        out["witness"] = None if self.witness is None else list(map(float, self.witness))
-        return out
 
 
 def _check_symmetric(j: np.ndarray) -> np.ndarray:
@@ -170,23 +90,6 @@ def _r0_split(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float,
     b = vecs.T @ (basis.T @ (-j @ u))
     c = -float(u @ j @ u)
     return basis @ vecs, eigs, b, c, math.ldexp(1e-9 * (1.0 + top), -e), e
-
-
-def restricted_definite_on_r0(j: np.ndarray) -> Literal["yes", "no", "boundary"]:
-    """Is -J positive definite on R0 = {y : sum y_i = 0}?
-
-    "yes" when the smallest eigenvalue of -J restricted to R0 exceeds the
-    tolerance, "no" when it is below -tolerance, "boundary" otherwise.  By
-    the restricted-convexity lemma, "yes" is equivalent to alpha - J being
-    positive definite for all large alpha.
-    """
-    _, eigs, _, _, tol, _ = _r0_split(j)
-    low = float(eigs.min(initial=math.inf))
-    if low > tol:
-        return "yes"
-    if low < -tol:
-        return "no"
-    return "boundary"
 
 
 def min_alpha_psd(j: np.ndarray, j_max: float) -> PsdCertificate:
@@ -224,31 +127,6 @@ def min_alpha_psd(j: np.ndarray, j_max: float) -> PsdCertificate:
     cond = float(inverted.max() / inverted.min()) if inverted.size else 1.0
     return PsdCertificate("psd_for_alpha", j_max if alpha <= j_max + j_tol else alpha,
                           None, j_tol, cond=cond)
-
-
-# ---------------------------------------------------------------------------
-# Expected tensor products over a shared draw of J
-# ---------------------------------------------------------------------------
-
-def expected_alpha_minus_j_tensor(model: ModelSpec, alpha: float,
-                                  x_rows: Sequence[Sequence[int]]) -> KArray:
-    """E tensor_{l<=r} (alpha - J(x^l_{i_1}, ..., x^l_{i_K})), shared J draw.
-
-    The same copy of J enters every replica factor; the expectation is the
-    exact probability-weighted sum over the finite support of the edge law.
-    """
-    x = np.asarray(x_rows, dtype=np.int64)
-    if x.ndim != 2:
-        raise ValueError("x_rows must be an (r, n) array of spin states")
-    r, n = x.shape
-    if x.size and (x.min() < 0 or x.max() >= model.n_states):
-        raise ValueError("x_rows entries outside the spin domain")
-    k = model.arity
-    acc = np.zeros((n ** r,) * k)
-    for table, prob in model.edge_pot.support:
-        factors = [KArray(alpha - table[np.ix_(*([x[l]] * k))]) for l in range(r)]
-        acc += prob * tensor_product(factors).data
-    return KArray(acc)
 
 
 # ---------------------------------------------------------------------------

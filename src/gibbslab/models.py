@@ -305,6 +305,9 @@ ZOO_MODELS = ("independent_set", "potts", "ising", "viana_bray", "xor", "ksat")
 MODEL_PARAM_KEYS = ("lambda", "beta", "q", "k", "h", "i_values", "i_probs")
 # Name suffix of a model that embed_discrete made.
 EMBEDDED_SUFFIX = "_embedded"
+# Most entries a dense table may hold: an edge law's tables in all, or one
+# factor of exact log Z.
+DEFAULT_STATE_CAP = 2 ** 24
 
 
 def _sign_product_table(k: int) -> np.ndarray:
@@ -332,6 +335,14 @@ def _ksat_tables(k: int, beta: float) -> tuple[tuple[np.ndarray, float], ...]:
         table[z] = math.exp(-beta)
         out.append((table, prob))
     return tuple(out)
+
+
+def _check_law_size(n_tables: int, q: int, k: int) -> None:
+    """Refuse n_tables dense q^k tables above DEFAULT_STATE_CAP entries in
+    all, before any is built; q >= 2, so past k = 24 no power is formed."""
+    if k >= DEFAULT_STATE_CAP.bit_length() or n_tables * q ** k > DEFAULT_STATE_CAP:
+        raise ModelConfigError(f"the edge law's {n_tables} * {q}^{k} table entries "
+                               f"exceed cap {DEFAULT_STATE_CAP}; lower k or q")
 
 
 def _exp(x: float) -> float:
@@ -397,7 +408,11 @@ def build_model(name: str, **params) -> ModelSpec:
     +/-1 encoding where it applies.  A parameter of the wrong type, a q or k
     that is not an integer, a beta whose J_max = exp(beta * max|I|)
     overflows, or a parameter that makes a soft-state constant non-finite
-    (an h or lambda near the float maximum, say) is a ModelConfigError.
+    (an h or lambda near the float maximum, say) is a ModelConfigError.  So
+    is a law whose dense tables would hold more than DEFAULT_STATE_CAP =
+    2^24 entries in all, len(support) * q^K: 4^k for K-SAT (k <= 12),
+    |I| * 2^k for Viana-Bray and XOR (k <= 23 at |I| = 2) and q^2 for Potts
+    (q <= 4096); it is refused before any table or witness is built.
     """
     known = dict(params)
 
@@ -434,6 +449,7 @@ def build_model(name: str, **params) -> ModelSpec:
             raise ModelConfigError(f"potts needs q >= 2, got {q}")
         if beta < 0:
             raise ModelConfigError("ferromagnetic potts (beta < 0) is out of scope")
+        _check_law_size(1, q, 2)
         h = np.ones(q)
         j = np.ones((q, q)) - (1.0 - math.exp(-beta)) * np.eye(q)
         # sup J = 1 for beta >= 0; rho_max = max(q*max h, j_max) keeps the
@@ -487,6 +503,7 @@ def build_model(name: str, **params) -> ModelSpec:
             i_probs = take("i_probs", (0.5, 0.5), conv=_float_tuple)
             _check_symmetric_law(i_values, i_probs)
             extra = {"h": hval, "i_values": list(i_values), "i_probs": list(i_probs)}
+        _check_law_size(len(i_values), 2, k)
         c_i = max(abs(v) for v in i_values)
         h = np.array([1.0, hval])
         jmax = max(hval, _exp(beta * c_i))
@@ -510,6 +527,7 @@ def build_model(name: str, **params) -> ModelSpec:
             raise ModelConfigError(f"arity k must be >= 2, got {k}")
         if beta < 0:
             raise ModelConfigError(f"ksat needs beta >= 0, got {beta}")
+        _check_law_size(1, 4, k)  # 2^k tables of 2^k entries
         h = np.ones(2)
         soft = SoftStateParams(kappa=2.0, rho_min=math.exp(-beta), rho_max=2.0,
                                j_max=1.0, alpha=1.0)

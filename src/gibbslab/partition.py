@@ -26,6 +26,7 @@ import numpy as np
 
 from .graphs import Hypergraph, degree_stats, graph_from_json, graph_to_json
 from .models import (
+    DEFAULT_STATE_CAP,
     EMBEDDED_SUFFIX,
     ModelSpec,
     PotentialDraws,
@@ -54,7 +55,6 @@ __all__ = [
     "instance_from_json",
 ]
 
-DEFAULT_STATE_CAP = 2 ** 24
 MC_SHARD_SIZE = 2 ** 14
 
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's evaluation paths: partition functions
 are accumulated as exact rationals (floats are dyadic) with no log-sum-exp,
-and multilinear forms and power sums of a convexity witness are nested
-loops.  They stay independent of the code they check.  The Monte Carlo shard reference draws
-each node's states with ``rng.choice`` and gathers each edge's weight by a
+and multilinear forms, expected replica tensors of an edge law and power
+sums of a convexity witness are nested loops.  They stay independent of
+the code they check.  The Monte Carlo shard reference draws each node's
+states with ``rng.choice`` and gathers each edge's weight by a
 tuple index, on the shard's own substream.
 The bucket-elimination reference is the 0.7.0 pass: a masked log lift,
 ``einsum`` placement of every edge, a scope built with ``scope.index`` and a
@@ -73,20 +74,6 @@ def naive_multilinear(data: np.ndarray, y) -> float:
     return total
 
 
-def naive_tensor_entry(tables, composite_indices) -> float:
-    """Tensor-product entry by direct multiplication.
-
-    ``composite_indices`` is a length-K sequence of r-tuples; factor l reads
-    the l-th component of every composite index.
-    """
-    r = len(composite_indices[0])
-    value = 1.0
-    for l in range(r):
-        idx = tuple(ci[l] for ci in composite_indices)
-        value *= float(tables[l][idx])
-    return value
-
-
 def naive_mean_shifted_product(x_rows, alpha, support, k) -> float:
     """N^-K sum over placements of E prod_l (alpha - J(x^l at placement))."""
     x = np.asarray(x_rows)
@@ -136,6 +123,25 @@ def naive_power_sum_tensor(witness, x_rows, k) -> np.ndarray:
                     spins = [x[l][composite[pos][l]] for pos in range(k)]
                     term *= naive_witness_entry(witness, (a, *bs), spins)
                 total += term
+        out[flat] = total
+    return out
+
+
+def naive_expected_tensor(support, alpha, x_rows, k) -> np.ndarray:
+    """E tensor_{l<=r} (alpha - J) over the law's (table, prob) pairs: a loop
+    over every composite index tuple, one shared table in every replica."""
+    x = np.asarray(x_rows)
+    r, n = x.shape
+    out = np.zeros((n ** r,) * k)
+    for flat in itertools.product(range(n ** r), repeat=k):
+        composite = [_composite(idx, n, r) for idx in flat]
+        total = 0.0
+        for table, prob in support:
+            term = float(prob)
+            for l in range(r):
+                term *= alpha - float(table[tuple(x[l][composite[pos][l]]
+                                                  for pos in range(k))])
+            total += term
         out[flat] = total
     return out
 

@@ -157,11 +157,16 @@ class TestUsageErrors:
          "--n1", "5", "--c", "1", "--samples", "4"),
         ("interpolate", "--model", "independent_set", "--lambda", "1", "--n", "4",
          "--n1", "2", "--c", "1", "--samples", "4", "--uncoupled"),
+        # Laws of 2^80, 2^41, 2^41 and 10^10 table entries, refused unbuilt.
+        ("model", "show", "--model", "ksat", "--k", "40", "--beta", "1"),
+        ("model", "show", "--model", "xor", "--k", "40", "--beta", "1"),
+        ("model", "show", "--model", "viana_bray", "--k", "40", "--beta", "1"),
+        ("model", "show", "--model", "potts", "--q", "100000", "--beta", "1"),
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         """Bad input is a usage error, never a traceback or a verdict."""
-        code, out, _ = run(capsys, *argv)
-        assert code == 2 and out == ""
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ("--model", "ising", "--beta", "710"),

@@ -1,8 +1,9 @@
-"""Tensor products, PSD certification, and power-sum witnesses."""
+"""PSD certification, partition kernels and power-sum witnesses; the
+expected replica tensor of each witnessed law against the witness's power
+sum and the closed forms, loop against loop."""
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import replace
 
@@ -11,120 +12,34 @@ import pytest
 
 from gibbslab import (
     EdgePotentialSpec,
-    KArray,
     ModelConfigError,
     PowerSumWitness,
     build_model,
     certify_model,
-    expected_alpha_minus_j_tensor,
     min_alpha_psd,
-    multilinear_form,
     partition_kernel_classify,
-    restricted_definite_on_r0,
-    tensor_product,
 )
 
 from naive import (
     naive_agreement_indicator,
+    naive_expected_tensor,
     naive_mean_shifted_product,
     naive_multilinear,
     naive_power_sum_tensor,
-    naive_tensor_entry,
     naive_witness_entry,
 )
 
 IS_KERNEL = np.array([[1.0, 1.0], [1.0, 0.0]])
 
 
-class TestKArray:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KArray(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            KArray(np.array([np.inf, 1.0]))
-        with pytest.raises(ValueError):
-            KArray(np.zeros((2,) * 21))  # 2^21 entries exceed the cap
-        arr = KArray(np.zeros((3, 3, 3)))
-        assert arr.n == 3 and arr.order == 3
-
-
-class TestTensorProduct:
-    def test_single_factor_identity(self):
-        a = KArray(np.arange(8, dtype=float).reshape(2, 2, 2))
-        np.testing.assert_array_equal(tensor_product([a]).data, a.data)
-
-    def test_scalar_factors(self):
-        a, b = KArray(np.array([[3.0]])), KArray(np.array([[5.0]]))
-        np.testing.assert_array_equal(tensor_product([a, b]).data, [[15.0]])
-
-    def test_spot_entries_vs_naive(self):
-        rng = np.random.default_rng(5)
-        tables = [rng.normal(size=(2, 2)) for _ in range(2)]
-        prod = tensor_product([KArray(t) for t in tables])
-        assert prod.n == 4 and prod.order == 2
-        for ci in itertools.product(itertools.product(range(2), repeat=2), repeat=2):
-            # composite index (i, j) -> 2 * i + j on each axis
-            flat = tuple(2 * c[0] + c[1] for c in ci)
-            assert prod.data[flat] == pytest.approx(naive_tensor_entry(tables, ci))
-
-    def test_three_replicas_order_three(self):
-        rng = np.random.default_rng(6)
-        tables = [rng.normal(size=(2, 2, 2)) for _ in range(3)]
-        prod = tensor_product([KArray(t) for t in tables])
-        ci = ((1, 0, 1), (0, 1, 1), (1, 1, 0))
-        flat = tuple(4 * c[0] + 2 * c[1] + c[2] for c in ci)
-        assert prod.data[flat] == pytest.approx(naive_tensor_entry(tables, ci))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor_product([KArray(np.zeros((2, 2))), KArray(np.zeros((3, 3)))])
-
-    def test_tensor_psd_closure_k2(self):
-        """Tensor products of PSD shifted kernels stay PSD."""
-        shifted = 1.0 - IS_KERNEL  # PSD
-        prod = tensor_product([KArray(shifted), KArray(shifted)])
-        eigs = np.linalg.eigvalsh(prod.data)
-        assert eigs.min() >= -1e-12
-
-
-class TestMultilinearForm:
-    def test_quadratic_case(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 4))
-        y = rng.normal(size=4)
-        assert multilinear_form(KArray(a), y) == pytest.approx(y @ a @ y)
-
-    def test_cubic_scalar(self):
-        assert multilinear_form(KArray(np.full((1, 1, 1), 2.5)), [2.0]) \
-            == pytest.approx(8 * 2.5)
-
-    def test_matches_naive_triple_loop(self):
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(2, 2, 2))
-        y = rng.normal(size=2)
-        assert multilinear_form(KArray(a), y) \
-            == pytest.approx(naive_multilinear(a, y), rel=1e-12)
-
-
 class TestRestrictedDefiniteness:
-    def test_is_kernel_yes(self):
-        """y = (a, -a): y'(-J)y = a^2 > 0."""
-        assert restricted_definite_on_r0(IS_KERNEL) == "yes"
-
-    def test_diag_counterexample_boundary(self):
-        """The form -y1^2 + y2^2 vanishes on y1 + y2 = 0."""
-        assert restricted_definite_on_r0(np.diag([-1.0, 1.0])) == "boundary"
-
-    def test_zero_matrix_boundary(self):
-        assert restricted_definite_on_r0(np.zeros((3, 3))) == "boundary"
+    """-J definite on R0 is decided by min_alpha_psd; its input checks."""
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            restricted_definite_on_r0(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        for bad in (math.inf, math.nan):
-            for entry in (restricted_definite_on_r0,
-                          lambda j: min_alpha_psd(j, 1.0),
-                          partition_kernel_classify):
+        for entry in (lambda j: min_alpha_psd(j, 1.0), partition_kernel_classify):
+            with pytest.raises(ValueError, match="symmetric"):
+                entry(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            for bad in (math.inf, math.nan):
                 with pytest.raises(ValueError, match="finite"):
                     entry(np.array([[bad, 0.0], [0.0, 1.0]]))
 
@@ -230,11 +145,6 @@ class TestMinAlphaPsd:
         with pytest.raises(ValueError, match="j_max must be finite"):
             min_alpha_psd(IS_KERNEL, j_max)
 
-    def test_certificate_json(self):
-        out = min_alpha_psd(IS_KERNEL, 1.0).to_json()
-        assert out["verdict"] == "psd_for_alpha"
-        assert set(out) == {"verdict", "alpha", "witness", "tol", "cond"}
-
     def test_zoo_kernels_well_conditioned(self):
         for m in (build_model("independent_set", **{"lambda": 1.0}),
                   build_model("potts", q=3, beta=0.5),
@@ -246,13 +156,12 @@ class TestMinAlphaPsd:
 
     @pytest.mark.parametrize("beta", [400.0, 700.0, 709.7])
     def test_extreme_ising_alpha_is_finite(self, beta):
-        """b'B^+b squared entries of about 1e157 into inf at beta = 400, and
-        to_json then wrote the invalid JSON token Infinity; at 709.7 the
-        symmetrisation J + J' itself overflowed."""
+        """b'B^+b squared entries of about 1e157 into inf at beta = 400; at
+        709.7 the symmetrisation J + J' itself overflowed."""
         m = build_model("ising", beta=beta)
         cert = min_alpha_psd(m.edge_pot.support[0][0], m.soft.j_max)
         assert cert.verdict == "psd_for_alpha" and cert.alpha == m.soft.j_max
-        json.dumps(cert.to_json(), allow_nan=False)
+        assert math.isfinite(cert.alpha) and math.isfinite(cert.tol)
 
     def test_power_of_two_scaling(self):
         """2^k J with floor 2^k j_max gets 2^k times the shift of J, to 1e-12
@@ -284,11 +193,15 @@ class TestMinAlphaPsd:
         assert cert.cond >= 1e5
 
 
+def _expected(model, alpha, x_rows):
+    """E tensor_{l<=r} (alpha - J) over the model's edge law, by loops."""
+    return naive_expected_tensor(model.edge_pot.support, alpha, x_rows, model.arity)
+
+
 class TestExpectedTensor:
     def test_deterministic_single_replica(self):
         m = build_model("independent_set", **{"lambda": 1.0})
-        arr = expected_alpha_minus_j_tensor(m, 1.0, [[0, 1]])
-        np.testing.assert_allclose(arr.data, 1.0 - IS_KERNEL)
+        np.testing.assert_allclose(_expected(m, 1.0, [[0, 1]]), 1.0 - IS_KERNEL)
 
     def test_vb_odd_moments_vanish_exactly(self):
         """The witness's sign-changing column -sinh(beta I) has exactly zero
@@ -321,9 +234,8 @@ class TestKsatRank1:
         for k in (2, 3):
             beta = 0.5
             m = build_model("ksat", k=k, beta=beta)
-            arr = expected_alpha_minus_j_tensor(m, 1.0, [[0]])
             expect = 0.5 ** k * (1 - math.exp(-beta))
-            np.testing.assert_allclose(arr.data, expect)
+            np.testing.assert_allclose(_expected(m, 1.0, [[0]]), expect)
             np.testing.assert_allclose(naive_power_sum_tensor(m.witness, [[0]], k),
                                        expect, rtol=1e-15)
             cert = certify_model(m)
@@ -333,15 +245,14 @@ class TestKsatRank1:
         m = build_model("ksat", k=3, beta=0.0)
         assert certify_model(m).certified
         np.testing.assert_array_equal(m.witness.coef, 0.0)
-        arr = expected_alpha_minus_j_tensor(m, 1.0, [[0, 1], [1, 1]])
-        np.testing.assert_array_equal(arr.data, 0.0)
+        np.testing.assert_array_equal(_expected(m, 1.0, [[0, 1], [1, 1]]), 0.0)
 
     def test_against_brute_force_clause_expectation(self):
         """n=2, r=2, K=2 checked against an explicit sum over 4 sign tuples."""
         beta, k = 0.8, 2
         x = np.array([[0, 1], [1, 0]])
         m = build_model("ksat", k=k, beta=beta)
-        arr = expected_alpha_minus_j_tensor(m, 1.0, x)
+        arr = _expected(m, 1.0, x)
         n, r = 2, 2
         for flat_idx in itertools.product(range(n ** r), repeat=k):
             composite = [(idx // n, idx % n) for idx in flat_idx]
@@ -353,8 +264,8 @@ class TestKsatRank1:
                     j_val = math.exp(-beta) if spins == z else 1.0
                     term *= 1.0 - j_val
                 total += term
-            assert arr.data[flat_idx] == pytest.approx(total, abs=1e-15)
-        np.testing.assert_allclose(naive_power_sum_tensor(m.witness, x, k), arr.data,
+            assert arr[flat_idx] == pytest.approx(total, abs=1e-15)
+        np.testing.assert_allclose(naive_power_sum_tensor(m.witness, x, k), arr,
                                    rtol=0, atol=1e-15)
 
     def test_exact_identity_sweep(self):
@@ -366,15 +277,15 @@ class TestKsatRank1:
             for r in (1, 2):
                 for n in (1, 2, 3):
                     x = rng.integers(0, 2, size=(r, n))
-                    exact = expected_alpha_minus_j_tensor(m, 1.0, x)
+                    exact = _expected(m, 1.0, x)
                     coef, u, closed = _ksat_closed_form(0.6, k, x)
                     power_sum = naive_power_sum_tensor(m.witness, x, k)
-                    assert np.abs(exact.data - power_sum).max() <= 1e-12, (k, r, n)
-                    assert np.abs(exact.data - closed).max() <= 1e-12, (k, r, n)
+                    assert np.abs(exact - power_sum).max() <= 1e-12, (k, r, n)
+                    assert np.abs(exact - closed).max() <= 1e-12, (k, r, n)
                     for _ in range(16):
-                        y = rng.uniform(0.0, 2.0, size=exact.n)
+                        y = rng.uniform(0.0, 2.0, size=u.size)
                         rhs = coef * float(u @ y) ** k
-                        assert abs(multilinear_form(exact, y) - rhs) <= 1e-10 * (1 + abs(rhs))
+                        assert abs(naive_multilinear(exact, y) - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
 class TestPartitionKernels:
@@ -440,8 +351,7 @@ class TestInterpolationVectors:
         m = build_model("ksat", k=2, beta=0.9)
         alpha = 1.0
         x = rng.integers(0, 2, size=(2, 3))
-        arr = expected_alpha_minus_j_tensor(m, alpha, x)
-        lhs = multilinear_form(arr, _diagonal(3, 2))
+        lhs = naive_multilinear(_expected(m, alpha, x), _diagonal(3, 2))
         rhs = naive_mean_shifted_product(x, alpha, m.edge_pot.support, 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -457,11 +367,11 @@ class TestInterpolationVectors:
             for r in (1, 2):
                 n = 3
                 x = rng.integers(0, 2, size=(r, n))
-                arr = expected_alpha_minus_j_tensor(m, m.soft.alpha, x)
+                arr = _expected(m, m.soft.alpha, x)
                 n1 = 2
-                lhs = multilinear_form(arr, _diagonal(n, r))
-                rhs = (n1 / n) * multilinear_form(arr, _diagonal(n, r, 0, n1)) \
-                    + ((n - n1) / n) * multilinear_form(arr, _diagonal(n, r, n1, n))
+                lhs = naive_multilinear(arr, _diagonal(n, r))
+                rhs = (n1 / n) * naive_multilinear(arr, _diagonal(n, r, 0, n1)) \
+                    + ((n - n1) / n) * naive_multilinear(arr, _diagonal(n, r, n1, n))
                 assert lhs <= rhs + 1e-12, m.name
 
 

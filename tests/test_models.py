@@ -22,7 +22,7 @@ from gibbslab import (
     verify_soft_state,
 )
 from gibbslab.convexity import certify_model
-from gibbslab.models import model_from_config, model_to_config
+from gibbslab.models import _check_law_size, model_from_config, model_to_config
 from gibbslab.seeds import EDGE_POTENTIALS, substream
 
 from conftest import random_zoo_model
@@ -110,6 +110,19 @@ class TestBuildModel:
         """A parameter whose rho_max overflows to inf is refused."""
         with pytest.raises(ModelConfigError, match="rho_max = inf is not finite"):
             build_model(name, **params)
+
+    @pytest.mark.parametrize("name, params", [
+        ("ksat", {"k": 13, "beta": 1.0}),
+        ("xor", {"k": 24, "beta": 1.0}),
+        ("potts", {"q": 4097, "beta": 1.0}),
+    ])
+    def test_law_above_cap_rejected(self, name, params):
+        """The first law past 2^24 table entries in all (4^13, 2 * 2^24,
+        4097^2) is refused before a table is built; 2^24 itself passes."""
+        with pytest.raises(ModelConfigError, match="exceed cap 16777216"):
+            build_model(name, **params)
+        for n_tables, q, k in ((1, 4, 12), (2, 2, 23), (1, 4096, 2)):
+            _check_law_size(n_tables, q, k)
 
     @pytest.mark.parametrize("key", ["kappa", "rho_min", "rho_max", "j_max", "alpha"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])

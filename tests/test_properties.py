@@ -29,14 +29,12 @@ from gibbslab import (
     certify_model,
     edge_count,
     embed_discrete,
-    expected_alpha_minus_j_tensor,
     interpolation_chain,
     log_z_exact,
     log_z_mc,
     make_instance,
     min_alpha_psd,
     replace_node_table,
-    restricted_definite_on_r0,
     sample_er,
     sample_interpolated,
     z_exact_rational,
@@ -52,6 +50,7 @@ from naive import (
     NAIVE_RATIONAL,
     naive_eliminate,
     naive_elimination_order,
+    naive_expected_tensor,
     naive_log_z,
     naive_mc_shard,
     naive_power_sum_tensor,
@@ -427,7 +426,7 @@ def test_min_alpha_psd_is_the_minimal_shift(n, scale, seed):
 
 
 def _scipy_min_shift(j):
-    """Reference verdicts and shift in scipy's null_space/eigh basis, and the
+    """Reference verdict and shift in scipy's null_space/eigh basis, and the
     condition number of the R0 block on its non-flat part."""
     n = j.shape[0]
     u = np.full(n, 1.0 / math.sqrt(n))
@@ -436,27 +435,25 @@ def _scipy_min_shift(j):
     b = vecs.T @ (basis.T @ (-j @ u))
     c = -float(u @ j @ u)
     tol = 1e-9 * (1.0 + float(np.abs(j).max()))
-    low = float(eigs.min(initial=math.inf))
-    definite = "yes" if low > tol else "no" if low < -tol else "boundary"
     flat = eigs <= tol
     if (eigs.size and eigs[0] < -tol) or np.any(flat & (np.abs(b) > tol * math.sqrt(n))):
-        return definite, "no_alpha", None, 1.0
+        return "no_alpha", None, 1.0
     alpha = (float(np.sum(b[~flat] ** 2 / eigs[~flat])) - c) / n
     cond = float(np.abs(eigs).max() / eigs[~flat].min()) if np.any(~flat) else 1.0
-    return definite, "psd_for_alpha", alpha, cond
+    return "psd_for_alpha", alpha, cond
 
 
 @PROPERTY
 @given(st.integers(1, 6), st.floats(0.5, 3.0), st.sampled_from(["normal", "neg_gram"]),
        st.floats(-2.0, 2.0), SEEDS)
 def test_r0_split_matches_scipy_reference(n, scale, family, coupling, seed):
-    """restricted_definite_on_r0 and min_alpha_psd give the verdicts of the
-    scipy null_space/eigh formulation, and the same shift within 1e-12
-    relative, on random symmetric J: Gaussian ones, and -AA' plus a coupling
-    of a random vector to the ones vector (flat on R0 when A has low rank,
-    so both no_alpha witnesses and boundary shifts occur).  The shift is
-    b'B^+b over the R0 block B, so two backward-stable eigensolvers may
-    differ by about eps * cond(B) relative; the bound carries that term."""
+    """min_alpha_psd gives the verdict of the scipy null_space/eigh
+    formulation, and the same shift within 1e-12 relative, on random
+    symmetric J: Gaussian ones, and -AA' plus a coupling of a random vector
+    to the ones vector (flat on R0 when A has low rank, so both no_alpha
+    witnesses and boundary shifts occur).  The shift is b'B^+b over the R0
+    block B, so two backward-stable eigensolvers may differ by about
+    eps * cond(B) relative; the bound carries that term."""
     rng = np.random.default_rng(seed)
     if family == "normal":
         j = rng.normal(size=(n, n)) * scale
@@ -466,8 +463,7 @@ def test_r0_split_matches_scipy_reference(n, scale, family, coupling, seed):
         w, e = rng.normal(size=n), np.ones(n)
         j = -a @ a.T + coupling * (np.outer(e, w) + np.outer(w, e))
     j_max = float(j.max()) + float(rng.choice([0.0, 1.0])) * scale
-    definite, verdict, alpha, cond = _scipy_min_shift(j)
-    assert restricted_definite_on_r0(j) == definite
+    verdict, alpha, cond = _scipy_min_shift(j)
     cert = min_alpha_psd(j, j_max)
     assert cert.verdict == verdict
     if verdict == "psd_for_alpha":
@@ -509,8 +505,9 @@ def witness_models(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(witness_models(), st.data())
 def test_expected_tensor_is_the_witness_power_sum(model, data):
-    """E tensor_{l<=r} (alpha - J) over the edge law equals the power sum its
-    witness states, summed by loops over the witness's own atoms, for r <= 3
+    """E tensor_{l<=r} (alpha - J), summed by loops over the edge law's
+    (table, prob) pairs, equals the power sum its witness states, summed by
+    loops over the witness's own atoms, for r <= 3
     replicas of up to 3 positions (at most 4096 entries; fewer replicas where
     J_max^r would overflow).  The exact witness check rebuilds the law and
     certifies every model but Viana-Bray at odd K."""
@@ -523,6 +520,6 @@ def test_expected_tensor_is_the_witness_power_sum(model, data):
     x = np.array(data.draw(st.lists(st.lists(st.integers(0, model.n_states - 1),
                                              min_size=n, max_size=n),
                                     min_size=r, max_size=r)))
-    got = expected_alpha_minus_j_tensor(model, model.soft.alpha, x).data
+    got = naive_expected_tensor(model.edge_pot.support, model.soft.alpha, x, k)
     want = naive_power_sum_tensor(model.witness, x, k)
     assert np.abs(got - want).max() <= 1e-12 * (1.0 + j_max) ** r

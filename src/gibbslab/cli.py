@@ -1,11 +1,13 @@
 """Command-line driver.
 
 Subcommands: ``model show``, ``gen``, ``logz``, ``certify``, ``interpolate``,
-``moments``, ``concentrate``, ``converge``.  Model parameters come from flags
-or a JSON config file {"model": ..., "params": {...}, "seed": ...}.  Records
-are appended as JSON lines with optional CSV export.  Exit status: 0 for
-pass/report verdicts, 1 for a fail verdict, 2 for usage errors.
-"""
+``moments``, ``concentrate``, ``converge``; each sets the handler it runs.
+A model comes from ``--model`` plus one flag per key of
+``models.MODEL_PARAMS`` (``_`` written ``-``, a sequence comma-separated),
+typed by that key's converter, or from a JSON config file {"model": ...,
+"params": {...}, "seed": ...}.  Records are appended as JSON lines with
+optional CSV export.  Exit status: 0 for pass/report verdicts, 1 for a fail
+verdict, 2 for usage errors, a value ``build_model`` refuses included."""
 
 from __future__ import annotations
 
@@ -19,43 +21,30 @@ from .graphs import graph_to_json, sample_er
 from .partition import StateSpaceCapError
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
-
-
-def _add_model_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="zoo model name")
-    parser.add_argument("--config", help="JSON config file with model/params/seed")
-    parser.add_argument("--lambda", type=float,
-                        help="activity of the independent set model")
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--q", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--h", type=float)
-    parser.add_argument("--i-values", type=_float_list,
-                        help="comma-separated support of I (viana_bray)")
-    parser.add_argument("--i-probs", type=_float_list,
-                        help="comma-separated probabilities of I (viana_bray)")
+def _flag_type(convert):
+    """argparse type of a model flag: the key's converter, applied to the
+    comma-split text for a sequence key."""
+    def comma_separated(text):
+        return convert(text.split(","))
+    return comma_separated if convert is models._float_tuple else convert
 
 
 def _model_from_args(args) -> tuple[models.ModelSpec, Optional[int]]:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            model, seed = models.model_from_config(json.load(fh))
-        return model, seed
+            return models.model_from_config(json.load(fh))
     if not args.model:
         raise models.ModelConfigError("either --model or --config is required")
     flags = vars(args)
-    params = {key: flags[key] for key in models.MODEL_PARAM_KEYS
-              if flags[key] is not None}
+    params = {key: flags[key] for key in models.MODEL_PARAMS if flags[key] is not None}
     return models.build_model(args.model, **params), None
 
 
 def _emit_record(record: harness.ExperimentRecord, args) -> int:
     print(harness.record_to_json(record))
-    if getattr(args, "out", None):
+    if args.out:
         harness.append_record(args.out, record)
-    if getattr(args, "csv", None):
+    if args.csv:
         harness.records_to_csv([record], args.csv)
     return 0 if record.verdict in ("pass", "report") else 1
 
@@ -65,70 +54,74 @@ def _int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    model_args = argparse.ArgumentParser(add_help=False)
+    model_args.add_argument("--model", help="zoo model name")
+    model_args.add_argument("--config", help="JSON config file with model/params/seed")
+    for key, convert in models.MODEL_PARAMS.items():
+        model_args.add_argument(
+            "--" + key.replace("_", "-"), type=_flag_type(convert),
+            help="comma-separated numbers" if convert is models._float_tuple else None)
+    record_args = argparse.ArgumentParser(add_help=False)
+    record_args.add_argument("--out", help="append the record to this JSON-lines file")
+    record_args.add_argument("--csv", help="write the record to this CSV file")
+
     parser = argparse.ArgumentParser(prog="gibbslab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_model = sub.add_parser("model", help="model inspection")
     model_sub = p_model.add_subparsers(dest="model_command", required=True)
-    p_show = model_sub.add_parser("show", help="print the model and soft constants")
-    _add_model_args(p_show)
+    model_sub.add_parser("show", parents=[model_args],
+                         help="print the model and soft constants"
+                         ).set_defaults(run=_cmd_model_show)
 
     p_gen = sub.add_parser("gen", help="sample a hypergraph")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--c", type=str, required=True)
     p_gen.add_argument("--k", type=int, default=2)
     p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.set_defaults(run=_cmd_gen)
 
-    p_logz = sub.add_parser("logz", help="log-partition of one sampled instance")
-    _add_model_args(p_logz)
+    p_logz = sub.add_parser("logz", parents=[model_args],
+                            help="log-partition of one sampled instance")
     p_logz.add_argument("--n", type=int, required=True)
     p_logz.add_argument("--c", type=str, required=True)
     p_logz.add_argument("--seed", type=int, default=0)
     p_logz.add_argument("--mc", action="store_true")
     p_logz.add_argument("--samples", type=int, default=100000)
+    p_logz.set_defaults(run=_cmd_logz)
 
-    p_cert = sub.add_parser("certify", help="certify the convexity hypothesis")
-    _add_model_args(p_cert)
+    sub.add_parser("certify", parents=[model_args],
+                   help="certify the convexity hypothesis").set_defaults(run=_cmd_certify)
 
-    p_interp = sub.add_parser("interpolate", help="interpolation monotonicity")
-    _add_model_args(p_interp)
+    p_interp = sub.add_parser("interpolate", parents=[model_args, record_args],
+                              help="interpolation monotonicity")
     p_interp.add_argument("--n", type=int, required=True)
     p_interp.add_argument("--n1", type=int, required=True)
     p_interp.add_argument("--c", type=str, required=True)
     p_interp.add_argument("--samples", type=int, default=2000)
     p_interp.add_argument("--seed", type=int, default=0)
     p_interp.add_argument("--allow-uncertified", action="store_true")
-    p_interp.add_argument("--out")
-    p_interp.add_argument("--csv")
+    p_interp.set_defaults(run=_cmd_interpolate)
 
-    p_mom = sub.add_parser("moments", help="exact moment inequality")
-    _add_model_args(p_mom)
+    p_mom = sub.add_parser("moments", parents=[model_args, record_args],
+                           help="exact moment inequality")
     p_mom.add_argument("--n", type=int, required=True)
     p_mom.add_argument("--n1", type=int, required=True)
     p_mom.add_argument("--r", type=int, required=True)
     p_mom.add_argument("--alpha", type=float)
     p_mom.add_argument("--g0-edges", type=int, default=2)
     p_mom.add_argument("--g0-seed", type=int, default=0)
-    p_mom.add_argument("--out")
-    p_mom.add_argument("--csv")
+    p_mom.set_defaults(run=_cmd_moments)
 
-    p_conc = sub.add_parser("concentrate", help="concentration proxy")
-    _add_model_args(p_conc)
-    p_conc.add_argument("--n-list", type=_int_list, required=True)
-    p_conc.add_argument("--c", type=str, required=True)
-    p_conc.add_argument("--samples", type=int, default=1000)
-    p_conc.add_argument("--seed", type=int, default=0)
-    p_conc.add_argument("--out")
-    p_conc.add_argument("--csv")
-
-    p_conv = sub.add_parser("converge", help="near-superadditivity table")
-    _add_model_args(p_conv)
-    p_conv.add_argument("--n-list", type=_int_list, required=True)
-    p_conv.add_argument("--c", type=str, required=True)
-    p_conv.add_argument("--samples", type=int, default=1000)
-    p_conv.add_argument("--seed", type=int, default=0)
-    p_conv.add_argument("--out")
-    p_conv.add_argument("--csv")
+    for name, help_text, experiment in (
+            ("concentrate", "concentration proxy", harness.concentration_experiment),
+            ("converge", "near-superadditivity table", harness.convergence_experiment)):
+        p_sizes = sub.add_parser(name, parents=[model_args, record_args], help=help_text)
+        p_sizes.add_argument("--n-list", type=_int_list, required=True)
+        p_sizes.add_argument("--c", type=str, required=True)
+        p_sizes.add_argument("--samples", type=int, default=1000)
+        p_sizes.add_argument("--seed", type=int, default=0)
+        p_sizes.set_defaults(run=_cmd_sizes, experiment=experiment)
 
     return parser
 
@@ -192,17 +185,9 @@ def _cmd_moments(args) -> int:
     return _emit_record(record, args)
 
 
-def _cmd_concentrate(args) -> int:
+def _cmd_sizes(args) -> int:
     model, _ = _model_from_args(args)
-    record = harness.concentration_experiment(model, args.n_list, args.c,
-                                              args.samples, args.seed)
-    return _emit_record(record, args)
-
-
-def _cmd_converge(args) -> int:
-    model, _ = _model_from_args(args)
-    record = harness.convergence_experiment(model, args.n_list, args.c,
-                                            args.samples, args.seed)
+    record = args.experiment(model, args.n_list, args.c, args.samples, args.seed)
     return _emit_record(record, args)
 
 
@@ -213,31 +198,15 @@ def cli_run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        if args.command == "model":
-            return _cmd_model_show(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "logz":
-            return _cmd_logz(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "interpolate":
-            return _cmd_interpolate(args)
-        if args.command == "moments":
-            return _cmd_moments(args)
-        if args.command == "concentrate":
-            return _cmd_concentrate(args)
-        if args.command == "converge":
-            return _cmd_converge(args)
+        return args.run(args)
     except StateSpaceCapError as exc:
         hint = ("rerun with --mc" if args.command == "logz"
                 else "use a smaller N or c")
         print(f"error: {exc}; {hint}", file=sys.stderr)
         return 2
-    except (models.ModelConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main() -> None:

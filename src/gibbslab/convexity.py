@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Literal, Optional
 
 import numpy as np
@@ -196,23 +195,28 @@ class ModelCertificate:
 
 
 def _check_power_sum(model: ModelSpec) -> dict:
-    """Detail of the exact witness check: the residual and, if it fails, why."""
+    """Detail of the exact witness check: the residual and, if it fails, why.
+
+    The law is rebuilt one atom xi = (a, b_1..b_K) at a time, in its
+    row-major order, so memory stays near one table of the law."""
     w, k, support = model.witness, model.arity, model.edge_pot.support
     n_b, n_s, q = w.phi.shape
     if q != model.n_states or len(support) != w.coef.shape[0] * n_b ** k:
         return {"reason": "witness does not match the edge law's size"}
-    # prod[(b_1..b_K), s, (x_1..x_K)] = prod_k phi[b_k, s, x_k], row-major.
-    prod = np.ones((1, n_s, 1))
-    for _ in range(k):
-        prod = (prod[:, None, :, :, None] * w.phi[None, :, :, None, :]).reshape(
-            prod.shape[0] * n_b, n_s, -1)
-    power_sum = np.einsum("as,bsx->abx", w.coef, prod).reshape(len(support), -1)
-    probs = reduce(np.multiply.outer, [w.coef_probs] + [w.phi_probs] * k).ravel()
-    tables = np.stack([table.ravel() for table, _ in support])
+    alpha, residual, probs_match = model.soft.alpha, 0.0, True
+    atoms = np.ndindex(w.coef.shape[0], *[n_b] * k)
+    for (a, *b), (table, prob) in zip(atoms, support):
+        # (coef[a] x phi[b_1] x ... x phi[b_{K-1}]).T @ phi[b_K] sums over s.
+        left = w.coef[a][:, None]
+        for b_k in b[:-1]:
+            left = (left[:, :, None] * w.phi[b_k][:, None, :]).reshape(n_s, -1)
+        diff = alpha - table
+        diff -= (left.T @ w.phi[b[-1]]).reshape(table.shape)
+        residual = np.maximum(residual, np.abs(diff, out=diff).max())
+        probs_match &= abs(w.coef_probs[a] * np.prod(w.phi_probs[b]) - prob) <= 1e-12
     tol = 1e-12 * (1.0 + model.soft.j_max)
-    detail = {"residual": float(np.abs(model.soft.alpha - tables - power_sum).max())}
-    if (detail["residual"] > tol
-            or np.abs(probs - [p for _, p in support]).max() > 1e-12):
+    detail = {"residual": float(residual)}
+    if not residual <= tol or not probs_match:
         return {**detail, "reason": "witness does not reconstruct alpha - J"}
     signed = np.nonzero((w.coef < 0).any(axis=0))[0]
     if signed.size > 1:

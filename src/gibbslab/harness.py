@@ -34,7 +34,7 @@ import numpy as np
 from .convexity import certify_model
 from .graphs import Hypergraph, InterpolationPoint, _check_point, \
     interpolation_chain, sample_er, sample_interpolated
-from .models import MODEL_PARAM_KEYS, Discrete, ModelSpec, decode_model
+from .models import MODEL_PARAMS, Discrete, ModelSpec, decode_model
 from .partition import Instance, instance_from_json, instance_to_json, log_z_exact, \
     make_instance, z_exact_rational, z_exact_rational_edge_added
 from .seeds import EXPERIMENT, GRAPH, SAMPLE, derive_seed, substream
@@ -510,7 +510,7 @@ def records_to_csv(records: Sequence[ExperimentRecord], path: str) -> None:
 
 def _model_from_params(params: dict) -> ModelSpec:
     return decode_model(params["model"],
-                        {k: params[k] for k in MODEL_PARAM_KEYS if k in params})
+                        {k: params[k] for k in MODEL_PARAMS if k in params})
 
 
 def replay_record(record: ExperimentRecord,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -39,7 +40,7 @@ __all__ = [
     "draw_potentials",
     "verify_soft_state",
     "gaussian_kernel_potential",
-    "MODEL_PARAM_KEYS",
+    "MODEL_PARAMS",
     "EMBEDDED_SUFFIX",
     "decode_model",
     "model_from_config",
@@ -130,31 +131,36 @@ class EdgePotentialSpec:
     ``support`` lists the (table, probability) pairs of a finite law, which
     the exact expectation operators sum over.  Deterministic kernels are
     singletons, K-SAT has 2^K equally likely sign tuples, Viana-Bray one
-    table per value of I.
+    table per value of I.  ``tables`` stacks the law's tables once, as a
+    read-only (len(support), q, ..., q) array; the support tables are its
+    views, so the law is held once.
     """
 
     arity: int
     support: tuple[tuple[np.ndarray, float], ...]
+    tables: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 2:
             raise ModelConfigError(f"edge arity must be >= 2, got {self.arity}")
-        norm = []
-        total = 0.0
-        for table, prob in self.support:
-            t = np.asarray(table, dtype=float)
-            if t.ndim != self.arity:
-                raise ModelConfigError(
-                    f"support table has order {t.ndim}, expected {self.arity}")
-            if np.any(t < 0) or not np.all(np.isfinite(t)):
-                raise ModelConfigError("edge potential tables must be finite and >= 0")
-            if prob <= 0:
-                raise ModelConfigError("support probabilities must be positive")
-            norm.append((t, float(prob)))
-            total += prob
-        if abs(total - 1.0) > 1e-12:
-            raise ModelConfigError(f"support probabilities sum to {total}, not 1")
-        object.__setattr__(self, "support", tuple(norm))
+        probs = [float(prob) for _, prob in self.support]
+        if any(prob <= 0 for prob in probs):
+            raise ModelConfigError("support probabilities must be positive")
+        if abs(sum(probs) - 1.0) > 1e-12:
+            raise ModelConfigError(f"support probabilities sum to {sum(probs)}, not 1")
+        tables = np.stack([np.asarray(table, dtype=float) for table, _ in self.support])
+        if tables.ndim != self.arity + 1:
+            raise ModelConfigError(
+                f"support table has order {tables.ndim - 1}, expected {self.arity}")
+        if np.any(tables < 0) or not np.all(np.isfinite(tables)):
+            raise ModelConfigError("edge potential tables must be finite and >= 0")
+        tables.setflags(write=False)
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "support", tuple(zip(tables, probs)))
+
+    def __reduce__(self):
+        # A copy stacks its law afresh, so it too holds the tables once.
+        return EdgePotentialSpec, (self.arity, self.support)
 
     @property
     def deterministic(self) -> bool:
@@ -301,8 +307,6 @@ class PotentialDraws:
 # ---------------------------------------------------------------------------
 
 ZOO_MODELS = ("independent_set", "potts", "ising", "viana_bray", "xor", "ksat")
-# Every parameter build_model accepts, across the zoo.
-MODEL_PARAM_KEYS = ("lambda", "beta", "q", "k", "h", "i_values", "i_probs")
 # Name suffix of a model that embed_discrete made.
 EMBEDDED_SUFFIX = "_embedded"
 # Most entries a dense table may hold: an edge law's tables in all, or one
@@ -312,11 +316,7 @@ DEFAULT_STATE_CAP = 2 ** 24
 
 def _sign_product_table(k: int) -> np.ndarray:
     """Table of prod_l (2*c_l - 1) over color tuples c in {0,1}^k."""
-    grids = np.meshgrid(*([np.array([-1.0, 1.0])] * k), indexing="ij")
-    out = np.ones((2,) * k)
-    for g in grids:
-        out = out * g
-    return out
+    return reduce(np.multiply.outer, [np.array([-1.0, 1.0])] * k)
 
 
 def _vb_tables(k: int, beta: float, i_values: Sequence[float],
@@ -327,14 +327,11 @@ def _vb_tables(k: int, beta: float, i_values: Sequence[float],
 
 
 def _ksat_tables(k: int, beta: float) -> tuple[tuple[np.ndarray, float], ...]:
-    prob = 0.5 ** k
-    out = []
-    for flat in range(2 ** k):
-        z = tuple((flat >> (k - 1 - j)) & 1 for j in range(k))
-        table = np.ones((2,) * k)
-        table[z] = math.exp(-beta)
-        out.append((table, prob))
-    return tuple(out)
+    """The 2^k equally likely tables: the one of the sign tuple with
+    row-major index i is exp(-beta) at entry i and 1 elsewhere."""
+    tables = np.ones((2 ** k, 2 ** k))
+    np.fill_diagonal(tables, math.exp(-beta))
+    return tuple((table.reshape((2,) * k), 0.5 ** k) for table in tables)
 
 
 def _check_law_size(n_tables: int, q: int, k: int) -> None:
@@ -366,6 +363,12 @@ def _float_tuple(values) -> tuple[float, ...]:
     if isinstance(values, str):
         raise TypeError(f"expected a sequence of numbers, got {values!r}")
     return tuple(float(v) for v in values)
+
+
+# Every parameter build_model accepts, across the zoo, and the converter it
+# applies to the value.
+MODEL_PARAMS = {"lambda": float, "beta": float, "q": _integer, "k": _integer,
+                "h": float, "i_values": _float_tuple, "i_probs": _float_tuple}
 
 
 def _check_symmetric_law(values: Sequence[float], probs: Sequence[float]) -> None:
@@ -405,10 +408,13 @@ def build_model(name: str, **params) -> ModelSpec:
     1[x_1 = 1] 1[x_2 = 1], Potts (1 - e^-beta) sum_c 1[x_1 = c] 1[x_2 = c],
     Ising sinh(beta) (1 + x_1 x_2), K-SAT (1 - e^-beta) prod_k 1[x_k = z_k]
     and Viana-Bray (alpha - cosh(beta I)) - sinh(beta I) prod_k x_k, in the
-    +/-1 encoding where it applies.  A parameter of the wrong type, a q or k
-    that is not an integer, a beta whose J_max = exp(beta * max|I|)
-    overflows, or a parameter that makes a soft-state constant non-finite
-    (an h or lambda near the float maximum, say) is a ModelConfigError.  So
+    +/-1 encoding where it applies.  Each value goes through its key's
+    converter in ``MODEL_PARAMS``, which the CLI's model flags read too.  A
+    parameter of the wrong type (a string for i_values or i_probs
+    included), a q or k that is not an integer, a beta whose J_max =
+    exp(beta * max|I|) overflows, or a parameter that makes a soft-state
+    constant non-finite (an h or lambda near the float maximum, say) is a
+    ModelConfigError, which the CLI reports with exit status 2.  So
     is a law whose dense tables would hold more than DEFAULT_STATE_CAP =
     2^24 entries in all, len(support) * q^K: 4^k for K-SAT (k <= 12),
     |I| * 2^k for Viana-Bray and XOR (k <= 23 at |I| = 2) and q^2 for Potts
@@ -416,13 +422,13 @@ def build_model(name: str, **params) -> ModelSpec:
     """
     known = dict(params)
 
-    def take(key, default=None, required=False, conv=float):
+    def take(key, default=None, required=False):
         if key not in known:
             if required:
                 raise ModelConfigError(f"model {name!r} requires parameter {key!r}")
             return default
         try:
-            return conv(known.pop(key))
+            return MODEL_PARAMS[key](known.pop(key))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ModelConfigError(f"bad parameter {key!r} for {name!r}: {exc}") from None
 
@@ -443,7 +449,7 @@ def build_model(name: str, **params) -> ModelSpec:
                          soft, {"lambda": lam}, witness)
 
     elif name == "potts":
-        q = take("q", required=True, conv=_integer)
+        q = take("q", required=True)
         beta = take("beta", required=True)
         if q < 2:
             raise ModelConfigError(f"potts needs q >= 2, got {q}")
@@ -485,7 +491,7 @@ def build_model(name: str, **params) -> ModelSpec:
                          soft, {"beta": beta, "h": hval}, witness)
 
     elif name in ("viana_bray", "xor"):
-        k = take("k", required=True, conv=_integer)
+        k = take("k", required=True)
         beta = take("beta", required=True)
         if k < 2:
             raise ModelConfigError(f"arity k must be >= 2, got {k}")
@@ -499,8 +505,8 @@ def build_model(name: str, **params) -> ModelSpec:
             hval = take("h", 1.0)
             if hval <= 0:
                 raise ModelConfigError(f"h must be positive, got {hval}")
-            i_values = take("i_values", (1.0, -1.0), conv=_float_tuple)
-            i_probs = take("i_probs", (0.5, 0.5), conv=_float_tuple)
+            i_values = take("i_values", (1.0, -1.0))
+            i_probs = take("i_probs", (0.5, 0.5))
             _check_symmetric_law(i_values, i_probs)
             extra = {"h": hval, "i_values": list(i_values), "i_probs": list(i_probs)}
         _check_law_size(len(i_values), 2, k)
@@ -521,7 +527,7 @@ def build_model(name: str, **params) -> ModelSpec:
                          soft, {"k": k, "beta": beta, **extra}, witness)
 
     elif name == "ksat":
-        k = take("k", required=True, conv=_integer)
+        k = take("k", required=True)
         beta = take("beta", required=True)
         if k < 2:
             raise ModelConfigError(f"arity k must be >= 2, got {k}")
@@ -597,9 +603,8 @@ def draw_potentials(model: ModelSpec, graph, seed: int) -> PotentialDraws:
             f"graph arity {graph.arity} != model arity {model.arity}")
     edge_pot = model.edge_pot
     idx = edge_pot.draw_indices(substream(seed, EDGE_POTENTIALS), graph.n_edges)
-    tables = np.stack([table for table, _ in edge_pot.support])
     return PotentialDraws(node_tables=np.tile(model.node_pot.table, (graph.n_nodes, 1)),
-                          edge_tables=tables[idx])
+                          edge_tables=edge_pot.tables[idx])
 
 
 # ---------------------------------------------------------------------------

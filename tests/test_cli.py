@@ -4,9 +4,13 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from gibbslab.cli import cli_run
+from gibbslab.models import MODEL_PARAMS, model_to_config
+
+from conftest import random_zoo_model
 
 
 def run(capsys, *argv):
@@ -162,6 +166,11 @@ class TestUsageErrors:
         ("model", "show", "--model", "xor", "--k", "40", "--beta", "1"),
         ("model", "show", "--model", "viana_bray", "--k", "40", "--beta", "1"),
         ("model", "show", "--model", "potts", "--q", "100000", "--beta", "1"),
+        # Malformed flag values, refused by the keys' converters.
+        ("certify", "--model", "potts", "--q", "3.5", "--beta", "1"),
+        ("model", "show", "--model", "independent_set", "--lambda", "abc"),
+        ("model", "show", "--model", "viana_bray", "--k", "2", "--beta", "1",
+         "--i-values", "1,x", "--i-probs", "0.5,0.5"),
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         """Bad input is a usage error, never a traceback or a verdict."""
@@ -228,6 +237,45 @@ class TestUsageErrors:
         code, _, err = run(capsys, "certify", "--model", "independent_set",
                            "--lambda", "-1")
         assert code == 2
+
+
+MODEL_COMMANDS = [("model", "show"), ("logz",), ("certify",), ("interpolate",),
+                  ("moments",), ("concentrate",), ("converge",)]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestModelFlags:
+    @pytest.mark.parametrize("command", MODEL_COMMANDS, ids=" ".join)
+    def test_every_param_is_a_flag(self, capsys, command):
+        """Each MODEL_PARAMS key is a flag of every model-taking command; the
+        sequence flags say they are comma-separated."""
+        code, out, _ = run(capsys, *command, "--help")
+        assert code == 0
+        for key in MODEL_PARAMS:
+            assert re.search(rf"^  {_flag(key)} [A-Z_]+", out, re.M), key
+        for key in ("i_values", "i_probs"):
+            assert re.search(rf"^  {_flag(key)} [A-Z_]+ +comma-separated", out, re.M)
+
+    def test_flags_and_config_show_one_model(self, capsys, tmp_path):
+        """model show prints the same line for a random zoo model whether its
+        params come as flags or in a config file, which adds only the seed."""
+        rng = np.random.default_rng(22)
+        cfg = tmp_path / "model.json"
+        for seed in range(40):
+            model = random_zoo_model(rng)
+            flags = ["--model", model.name]
+            for key, value in model.params.items():
+                text = ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+                flags += [_flag(key), text]
+            code, by_flags, _ = run(capsys, "model", "show", *flags)
+            assert code == 0
+            cfg.write_text(json.dumps(model_to_config(model, seed)))
+            code, by_config, _ = run(capsys, "model", "show", "--config", str(cfg))
+            assert code == 0
+            assert by_config == by_flags[:-2] + f', "seed": {seed}}}\n', flags
 
 
 class TestModelShowAndGen:

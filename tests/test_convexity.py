@@ -5,6 +5,7 @@ sum and the closed forms, loop against loop."""
 import functools
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -410,6 +411,18 @@ class TestModelCertification:
         assert (cert.certified, cert.method) == (False, "none")
         assert min_alpha_psd(m.edge_pot.support[0][0], m.soft.j_max).verdict == "psd_for_alpha"
 
+    def test_memory_near_law_size(self):
+        """Potts q=256: the check peaks within 8x the law's bytes, for it
+        rebuilds one table of the law at a time (tracemalloc)."""
+        model = build_model("potts", q=256, beta=1.0)
+        tracemalloc.start()
+        try:
+            assert certify_model(model).certified
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * model.edge_pot.tables.nbytes
+
     def test_vb_decomposition_tolerance(self):
         m = build_model("viana_bray", k=4, beta=0.8, h=1.5)
         assert certify_model(m).detail["residual"] <= 1e-12 * m.soft.j_max
@@ -475,6 +488,17 @@ class TestPowerSumWitness:
         rows = [[alpha - math.cosh(beta * v), -0.5 * math.sinh(beta * v),
                  -0.5 * math.sinh(beta * v)] for v in (1.0, -1.0)]
         self._refused(_vb_two_point(rows, (1.0, -1.0), beta), "more than one")
+
+    def test_overflowing_witness_refused(self):
+        """Products past the float range rebuild inf - inf = NaN entries, and
+        a NaN residual is a failed reconstruction."""
+        model = build_model("ising", beta=0.5)
+        witness = PowerSumWitness([[1e308, 1e308]], [1.0],
+                                  [[[10.0, 10.0], [-10.0, 10.0]]], [1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._refused(replace(model, witness=witness), "reconstruct")
+            assert math.isnan(certify_model(replace(model, witness=witness))
+                              .detail["residual"])
 
     def test_odd_arity_with_signed_phi_refused(self):
         self._refused(build_model("xor", k=3, beta=0.5), "odd arity")

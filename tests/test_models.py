@@ -2,6 +2,8 @@
 
 import json
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,12 @@ from gibbslab import (
     verify_soft_state,
 )
 from gibbslab.convexity import certify_model
-from gibbslab.models import _check_law_size, model_from_config, model_to_config
+from gibbslab.models import (
+    _check_law_size,
+    _sign_product_table,
+    model_from_config,
+    model_to_config,
+)
 from gibbslab.seeds import EDGE_POTENTIALS, substream
 
 from conftest import random_zoo_model
@@ -124,6 +131,35 @@ class TestBuildModel:
         for n_tables, q, k in ((1, 4, 12), (2, 2, 23), (1, 4096, 2)):
             _check_law_size(n_tables, q, k)
 
+    def test_tables_match_entrywise_construction(self):
+        """The vectorised tables equal their entrywise constructions bit for
+        bit: the sign table the meshgrid product (k = 2..8), each K-SAT table
+        ones with exp(-beta) at its sign tuple."""
+        for k in range(2, 9):
+            grids = np.meshgrid(*([np.array([-1.0, 1.0])] * k), indexing="ij")
+            want = np.ones((2,) * k)
+            for g in grids:
+                want = want * g
+            got = _sign_product_table(k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for k in (2, 3, 5):
+            support = build_model("ksat", k=k, beta=0.7).edge_pot.support
+            assert len(support) == 2 ** k
+            for i, (table, prob) in enumerate(support):
+                want = np.ones((2,) * k)
+                want[tuple((i >> (k - 1 - j)) & 1 for j in range(k))] = math.exp(-0.7)
+                assert table.tobytes() == want.tobytes() and prob == 0.5 ** k
+
+    def test_xor_build_memory(self):
+        """Building XOR k=14 peaks within 4x its law's bytes (tracemalloc)."""
+        tracemalloc.start()
+        try:
+            model = build_model("xor", k=14, beta=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * model.edge_pot.tables.nbytes
+
     @pytest.mark.parametrize("key", ["kappa", "rho_min", "rho_max", "j_max", "alpha"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_soft_state_params_finite(self, key, value):
@@ -218,6 +254,19 @@ class TestDraws:
         b = draw_potentials(m, graph, 77)
         np.testing.assert_array_equal(a.node_tables, b.node_tables)
         np.testing.assert_array_equal(a.edge_tables, b.edge_tables)
+
+    def test_law_held_once(self):
+        """The support tables are views of one read-only stacked law, also in
+        a pickled copy."""
+        model = build_model("viana_bray", k=3, beta=0.5,
+                            i_values=[1.0, 0.0, -1.0], i_probs=[0.25, 0.5, 0.25])
+        for law in (model.edge_pot, pickle.loads(pickle.dumps(model)).edge_pot):
+            assert law.tables.shape == (3, 2, 2, 2) and not law.tables.flags.writeable
+            for stacked, (table, _) in zip(law.tables, law.support, strict=True):
+                assert np.shares_memory(table, law.tables)
+                np.testing.assert_array_equal(table, stacked)
+        with pytest.raises(ValueError, match="read-only"):
+            model.edge_pot.support[0][0][0, 0, 0] = 2.0
 
     def test_arity_mismatch(self):
         m = build_model("ksat", k=3, beta=0.5)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Literal, Optional
 
 import numpy as np
@@ -198,22 +199,25 @@ def _check_power_sum(model: ModelSpec) -> dict:
     """Detail of the exact witness check: the residual and, if it fails, why.
 
     The law is rebuilt one atom xi = (a, b_1..b_K) at a time, in its
-    row-major order, so memory stays near one table of the law."""
-    w, k, support = model.witness, model.arity, model.edge_pot.support
+    row-major order, and each table is compared in blocks of about 2^20
+    entries, so memory stays near one table of the law."""
+    w, k, law = model.witness, model.arity, model.edge_pot
     n_b, n_s, q = w.phi.shape
-    if q != model.n_states or len(support) != w.coef.shape[0] * n_b ** k:
+    if q != model.n_states or len(law.probs) != w.coef.shape[0] * n_b ** k:
         return {"reason": "witness does not match the edge law's size"}
-    alpha, residual, probs_match = model.soft.alpha, 0.0, True
+    atom_probs = reduce(np.multiply.outer, [w.coef_probs] + [w.phi_probs] * k)
+    probs_match = np.abs(atom_probs.ravel() - law.probs).max() <= 1e-12
+    alpha, residual, step = model.soft.alpha, 0.0, max(1, 2 ** 20 // q)
     atoms = np.ndindex(w.coef.shape[0], *[n_b] * k)
-    for (a, *b), (table, prob) in zip(atoms, support):
+    for (a, *b), rows in zip(atoms, law.tables.reshape(len(law.probs), -1, q)):
         # (coef[a] x phi[b_1] x ... x phi[b_{K-1}]).T @ phi[b_K] sums over s.
         left = w.coef[a][:, None]
         for b_k in b[:-1]:
             left = (left[:, :, None] * w.phi[b_k][:, None, :]).reshape(n_s, -1)
-        diff = alpha - table
-        diff -= (left.T @ w.phi[b[-1]]).reshape(table.shape)
-        residual = np.maximum(residual, np.abs(diff, out=diff).max())
-        probs_match &= abs(w.coef_probs[a] * np.prod(w.phi_probs[b]) - prob) <= 1e-12
+        for lo in range(0, len(rows), step):
+            diff = alpha - rows[lo:lo + step]
+            diff -= left[:, lo:lo + step].T @ w.phi[b[-1]]
+            residual = np.maximum(residual, np.abs(diff, out=diff).max())
     tol = 1e-12 * (1.0 + model.soft.j_max)
     detail = {"residual": float(residual)}
     if not residual <= tol or not probs_match:

@@ -307,7 +307,7 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
 
     The left side places the extra edge uniformly over all N^K tuples; the
     right side picks block j with probability N_j/N and places uniformly
-    inside it.  Both sides sum the finite edge-law support and all placements
+    inside it.  Both sides sum the finite edge law's tables and all placements
     in exact rational arithmetic, with every Z evaluated by variable
     elimination over rationals (floats are dyadic): Z0 by one pass, and
     Z(G0+e) as the edge table against G0's marginal table over the edge's
@@ -331,15 +331,15 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
     k = model.arity
 
     z0 = z_exact_rational(g0)
-    support = [(table, Fraction(p)) for table, p in model.edge_pot.support]
-    z_plus = z_exact_rational_edge_added(g0, [table for table, _ in support])
+    probs = [Fraction(p) for p in model.edge_pot.probs]
+    z_plus = z_exact_rational_edge_added(g0, model.edge_pot.tables)
     term = {key: alpha_f * z0 - z for key, z in z_plus.items()}
     min_headroom = min(term.values())
 
     left = Fraction(0)
     inv_total = Fraction(1, n_nodes ** k)
     for placement in product(range(n_nodes), repeat=k):
-        for t_idx, (_, prob) in enumerate(support):
+        for t_idx, prob in enumerate(probs):
             left += inv_total * prob * term[placement, t_idx] ** r
 
     right = Fraction(0)
@@ -348,7 +348,7 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
         size = hi - lo
         w_block = Fraction(size, n_nodes) * Fraction(1, size ** k)
         for placement in product(range(lo, hi), repeat=k):
-            for t_idx, (_, prob) in enumerate(support):
+            for t_idx, prob in enumerate(probs):
                 right += w_block * prob * term[placement, t_idx] ** r
 
     passed = left <= right and min_headroom >= 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -128,53 +128,48 @@ class NodePotentialSpec:
 class EdgePotentialSpec:
     """Law of the edge potential J over K-tuples of domain states.
 
-    ``support`` lists the (table, probability) pairs of a finite law, which
-    the exact expectation operators sum over.  Deterministic kernels are
-    singletons, K-SAT has 2^K equally likely sign tuples, Viana-Bray one
-    table per value of I.  ``tables`` stacks the law's tables once, as a
-    read-only (len(support), q, ..., q) array; the support tables are its
-    views, so the law is held once.
+    ``tables`` stacks the law's tables as one (n, q, ..., q) float array and
+    ``probs`` holds their n probabilities, which the exact expectation
+    operators sum over.  Deterministic kernels are one table, K-SAT has 2^K
+    equally likely sign tuples, Viana-Bray one table per value of I.  A
+    float array is adopted without a copy, so a builder's array is the law;
+    both arrays are made read-only.
     """
 
     arity: int
-    support: tuple[tuple[np.ndarray, float], ...]
-    tables: np.ndarray = field(init=False, repr=False, compare=False)
+    tables: np.ndarray = field(repr=False)
+    probs: np.ndarray
 
     def __post_init__(self):
         if self.arity < 2:
             raise ModelConfigError(f"edge arity must be >= 2, got {self.arity}")
-        probs = [float(prob) for _, prob in self.support]
-        if any(prob <= 0 for prob in probs):
-            raise ModelConfigError("support probabilities must be positive")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ModelConfigError(f"support probabilities sum to {sum(probs)}, not 1")
-        tables = np.stack([np.asarray(table, dtype=float) for table, _ in self.support])
+        probs = np.array(self.probs, dtype=float)
+        if np.any(probs <= 0):
+            raise ModelConfigError("law probabilities must be positive")
+        if not abs(probs.sum() - 1.0) <= 1e-12:
+            raise ModelConfigError(f"law probabilities sum to {probs.sum()}, not 1")
+        tables = np.asarray(self.tables, dtype=float)
         if tables.ndim != self.arity + 1:
             raise ModelConfigError(
-                f"support table has order {tables.ndim - 1}, expected {self.arity}")
+                f"law table has order {tables.ndim - 1}, expected {self.arity}")
+        if probs.shape != tables.shape[:1]:
+            raise ModelConfigError(f"law has {len(tables)} tables but "
+                                   f"probabilities of shape {probs.shape}")
         if np.any(tables < 0) or not np.all(np.isfinite(tables)):
             raise ModelConfigError("edge potential tables must be finite and >= 0")
-        tables.setflags(write=False)
-        object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "support", tuple(zip(tables, probs)))
+        for key, value in (("tables", tables), ("probs", probs)):
+            value.setflags(write=False)
+            object.__setattr__(self, key, value)
 
     def __reduce__(self):
-        # A copy stacks its law afresh, so it too holds the tables once.
-        return EdgePotentialSpec, (self.arity, self.support)
-
-    @property
-    def deterministic(self) -> bool:
-        return len(self.support) == 1
+        # A copy goes through __post_init__, so it is read-only too.
+        return EdgePotentialSpec, (self.arity, self.tables, self.probs)
 
     def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Support indices of ``size`` i.i.d. draws; a one-table law draws nothing."""
-        if self.deterministic:
+        """Table indices of ``size`` i.i.d. draws; a one-table law draws nothing."""
+        if len(self.probs) == 1:
             return np.zeros(size, dtype=np.intp)
-        return rng.choice(len(self.support), size=size,
-                          p=[p for _, p in self.support])
-
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return self.support[self.draw_indices(rng, 1)[0]][0]
+        return rng.choice(len(self.probs), size=size, p=self.probs)
 
 
 @dataclass(frozen=True)
@@ -306,32 +301,11 @@ class PotentialDraws:
 # The model zoo
 # ---------------------------------------------------------------------------
 
-ZOO_MODELS = ("independent_set", "potts", "ising", "viana_bray", "xor", "ksat")
 # Name suffix of a model that embed_discrete made.
 EMBEDDED_SUFFIX = "_embedded"
 # Most entries a dense table may hold: an edge law's tables in all, or one
 # factor of exact log Z.
 DEFAULT_STATE_CAP = 2 ** 24
-
-
-def _sign_product_table(k: int) -> np.ndarray:
-    """Table of prod_l (2*c_l - 1) over color tuples c in {0,1}^k."""
-    return reduce(np.multiply.outer, [np.array([-1.0, 1.0])] * k)
-
-
-def _vb_tables(k: int, beta: float, i_values: Sequence[float],
-               i_probs: Sequence[float]) -> tuple[tuple[np.ndarray, float], ...]:
-    signs = _sign_product_table(k)
-    return tuple((np.exp(beta * v * signs), float(p))
-                 for v, p in zip(i_values, i_probs))
-
-
-def _ksat_tables(k: int, beta: float) -> tuple[tuple[np.ndarray, float], ...]:
-    """The 2^k equally likely tables: the one of the sign tuple with
-    row-major index i is exp(-beta) at entry i and 1 elsewhere."""
-    tables = np.ones((2 ** k, 2 ** k))
-    np.fill_diagonal(tables, math.exp(-beta))
-    return tuple((table.reshape((2,) * k), 0.5 ** k) for table in tables)
 
 
 def _check_law_size(n_tables: int, q: int, k: int) -> None:
@@ -384,6 +358,113 @@ def _check_symmetric_law(values: Sequence[float], probs: Sequence[float]) -> Non
             raise ModelConfigError("distribution of I must be symmetric around zero")
 
 
+# Each builder reads its parameters by build_model's ``take`` and returns the
+# node table, the edge law as one (n, q, ..., q) array and its n probabilities,
+# the soft-state constants, the params to record and the witness of alpha - J.
+
+def _hard_core(take):
+    lam = take("lambda")
+    if lam <= 0:
+        raise ModelConfigError(f"lambda must be positive, got {lam}")
+    soft = SoftStateParams(kappa=1.0, rho_min=min(lam, 1.0), rho_max=1.0 + lam,
+                           j_max=1.0, alpha=1.0)
+    witness = PowerSumWitness(coef=[[1.0]], coef_probs=[1.0],
+                              phi=[[[0.0, 1.0]]], phi_probs=[1.0])
+    tables = np.array([[[1.0, 1.0], [1.0, 0.0]]])
+    return np.array([1.0, lam]), tables, [1.0], soft, {"lambda": lam}, witness
+
+
+def _potts(take):
+    q, beta = take("q"), take("beta")
+    if q < 2:
+        raise ModelConfigError(f"potts needs q >= 2, got {q}")
+    if beta < 0:
+        raise ModelConfigError("ferromagnetic potts (beta < 0) is out of scope")
+    _check_law_size(1, q, 2)
+    gap = 1.0 - math.exp(-beta)
+    # sup J = 1 for beta >= 0; rho_max = max(q*max h, j_max) keeps the
+    # soft-state witness valid for every beta.
+    soft = SoftStateParams(kappa=float(q - 1), rho_min=min(1.0, math.exp(-beta)),
+                           rho_max=float(q), j_max=1.0, alpha=1.0)
+    witness = PowerSumWitness(coef=[[gap] * q], coef_probs=[1.0],
+                              phi=np.eye(q)[None], phi_probs=[1.0])
+    tables = np.ones((1, q, q))
+    np.fill_diagonal(tables[0], 1.0 - gap)  # 1 - gap, the bits of ones - gap * eye
+    return np.ones(q), tables, [1.0], soft, {"q": q, "beta": beta}, witness
+
+
+def _ising(take):
+    beta, hval = take("beta"), take("h", 1.0)
+    if beta < 0:
+        raise ModelConfigError("ferromagnetic ising (beta < 0) is out of scope")
+    if hval <= 0:
+        raise ModelConfigError(f"external field h must be positive, got {hval}")
+    eb = _exp(beta)
+    soft = SoftStateParams(kappa=1.0, rho_min=min(1.0, hval, 1.0 / eb),
+                           rho_max=max(2.0 * max(1.0, hval), eb), j_max=eb, alpha=eb)
+    witness = PowerSumWitness(coef=[[math.sinh(beta)] * 2], coef_probs=[1.0],
+                              phi=[[[1.0, 1.0], [-1.0, 1.0]]], phi_probs=[1.0])
+    tables = np.array([[[1.0 / eb, eb], [eb, 1.0 / eb]]])
+    return np.array([1.0, hval]), tables, [1.0], soft, {"beta": beta, "h": hval}, witness
+
+
+def _viana_bray(take, xor=False):
+    k, beta = take("k"), take("beta")
+    if k < 2:
+        raise ModelConfigError(f"arity k must be >= 2, got {k}")
+    if beta <= 0:
+        raise ModelConfigError(f"viana-bray needs beta > 0, got {beta}")
+    if xor:
+        hval, i_values, i_probs, extra = 1.0, (1.0, -1.0), (0.5, 0.5), {}
+    else:
+        hval = take("h", 1.0)
+        if hval <= 0:
+            raise ModelConfigError(f"h must be positive, got {hval}")
+        i_values, i_probs = take("i_values", (1.0, -1.0)), take("i_probs", (0.5, 0.5))
+        _check_symmetric_law(i_values, i_probs)
+        extra = {"h": hval, "i_values": list(i_values), "i_probs": list(i_probs)}
+    _check_law_size(len(i_values), 2, k)
+    c_i = max(abs(v) for v in i_values)
+    jmax = max(hval, _exp(beta * c_i))
+    # All colors are soft (J >= exp(-beta*c_I) > 0 everywhere): kappa = q.
+    soft = SoftStateParams(kappa=2.0, rho_min=min(1.0, hval, math.exp(-beta * c_i)),
+                           rho_max=max(2.0 * max(1.0, hval), jmax), j_max=jmax, alpha=jmax)
+    witness = PowerSumWitness(
+        coef=[[jmax - math.cosh(beta * v), -math.sinh(beta * v)] for v in i_values],
+        coef_probs=i_probs, phi=[[[1.0, 1.0], [-1.0, 1.0]]], phi_probs=[1.0])
+    # Table t is exp(beta * I_t * prod_l x_l), x_l = 2 c_l - 1 over colors c.
+    tables = np.multiply.outer([beta * v for v in i_values],
+                               reduce(np.multiply.outer, [np.array([-1.0, 1.0])] * k))
+    np.exp(tables, out=tables)
+    return (np.array([1.0, hval]), tables, i_probs, soft,
+            {"k": k, "beta": beta, **extra}, witness)
+
+
+def _ksat(take):
+    k, beta = take("k"), take("beta")
+    if k < 2:
+        raise ModelConfigError(f"arity k must be >= 2, got {k}")
+    if beta < 0:
+        raise ModelConfigError(f"ksat needs beta >= 0, got {beta}")
+    _check_law_size(1, 4, k)  # 2^k tables of 2^k entries
+    soft = SoftStateParams(kappa=2.0, rho_min=math.exp(-beta), rho_max=2.0,
+                           j_max=1.0, alpha=1.0)
+    witness = PowerSumWitness(coef=[[1.0 - math.exp(-beta)]], coef_probs=[1.0],
+                              phi=np.eye(2)[:, None, :], phi_probs=[0.5, 0.5])
+    # The table of the sign tuple with row-major index i is exp(-beta) at
+    # entry i and 1 elsewhere: row i of a (2^k, 2^k) array.
+    tables = np.ones((2 ** k, 2 ** k))
+    np.fill_diagonal(tables, math.exp(-beta))
+    return (np.ones(2), tables.reshape((2 ** k,) + (2,) * k), np.full(2 ** k, 0.5 ** k),
+            soft, {"k": k, "beta": beta}, witness)
+
+
+_BUILDERS = {"independent_set": _hard_core, "potts": _potts, "ising": _ising,
+             "viana_bray": _viana_bray, "xor": partial(_viana_bray, xor=True),
+             "ksat": _ksat}
+ZOO_MODELS = tuple(_BUILDERS)
+
+
 def build_model(name: str, **params) -> ModelSpec:
     """Construct one of the six zoo models with validated parameters.
 
@@ -396,12 +477,14 @@ def build_model(name: str, **params) -> ModelSpec:
       exp(-beta) and unequal spins exp(+beta); h is the external field on
       spin +1.
     - ``viana_bray``: k >= 2, beta > 0, h > 0, i_values/i_probs a finite
-      symmetric law for I with bounded support.  J = exp(beta*I*prod x_l).
+      symmetric law for I with finitely many values.  J = exp(beta*I*prod x_l).
     - ``xor``: k >= 2, beta > 0.  Viana-Bray with h = 1 and I = +/-1 uniform.
     - ``ksat``: k >= 2, beta >= 0.  A uniformly random sign tuple z* gets
       J(z*) = exp(-beta), all other tuples 1.
 
-    The stored soft-state constants are valid witnesses of the soft-state
+    Each name has one builder, which makes the edge law's tables once, as
+    the stacked array that ``EdgePotentialSpec`` adopts.  The stored
+    soft-state constants are valid witnesses of the soft-state
     assumption for all admitted parameters (checkable via
     ``verify_soft_state``), and alpha equals j_max for every zoo model.
     Every zoo model carries a ``PowerSumWitness`` of alpha - J: hard-core is
@@ -416,140 +499,30 @@ def build_model(name: str, **params) -> ModelSpec:
     constant non-finite (an h or lambda near the float maximum, say) is a
     ModelConfigError, which the CLI reports with exit status 2.  So
     is a law whose dense tables would hold more than DEFAULT_STATE_CAP =
-    2^24 entries in all, len(support) * q^K: 4^k for K-SAT (k <= 12),
+    2^24 entries in all, n * q^K for n tables: 4^k for K-SAT (k <= 12),
     |I| * 2^k for Viana-Bray and XOR (k <= 23 at |I| = 2) and q^2 for Potts
     (q <= 4096); it is refused before any table or witness is built.
     """
+    if name not in _BUILDERS:
+        raise ModelConfigError(f"unknown model {name!r}; known: {ZOO_MODELS}")
     known = dict(params)
 
-    def take(key, default=None, required=False):
+    def take(key, *default):
         if key not in known:
-            if required:
+            if not default:
                 raise ModelConfigError(f"model {name!r} requires parameter {key!r}")
-            return default
+            return default[0]
         try:
             return MODEL_PARAMS[key](known.pop(key))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ModelConfigError(f"bad parameter {key!r} for {name!r}: {exc}") from None
 
-    if name == "independent_set":
-        lam = take("lambda", required=True)
-        if lam <= 0:
-            raise ModelConfigError(f"lambda must be positive, got {lam}")
-        h = np.array([1.0, lam])
-        j = np.ones((2, 2))
-        j[1, 1] = 0.0
-        soft = SoftStateParams(kappa=1.0, rho_min=min(lam, 1.0), rho_max=1.0 + lam,
-                               j_max=1.0, alpha=1.0)
-        witness = PowerSumWitness(coef=[[1.0]], coef_probs=[1.0],
-                                  phi=[[[0.0, 1.0]]], phi_probs=[1.0])
-        spec = ModelSpec(name, Discrete(2),
-                         NodePotentialSpec(table=h),
-                         EdgePotentialSpec(2, support=((j, 1.0),)),
-                         soft, {"lambda": lam}, witness)
-
-    elif name == "potts":
-        q = take("q", required=True)
-        beta = take("beta", required=True)
-        if q < 2:
-            raise ModelConfigError(f"potts needs q >= 2, got {q}")
-        if beta < 0:
-            raise ModelConfigError("ferromagnetic potts (beta < 0) is out of scope")
-        _check_law_size(1, q, 2)
-        h = np.ones(q)
-        j = np.ones((q, q)) - (1.0 - math.exp(-beta)) * np.eye(q)
-        # sup J = 1 for beta >= 0; rho_max = max(q*max h, j_max) keeps the
-        # soft-state witness valid for every beta.
-        soft = SoftStateParams(kappa=float(q - 1), rho_min=min(1.0, math.exp(-beta)),
-                               rho_max=float(q), j_max=1.0, alpha=1.0)
-        witness = PowerSumWitness(coef=[[1.0 - math.exp(-beta)] * q], coef_probs=[1.0],
-                                  phi=np.eye(q)[None], phi_probs=[1.0])
-        spec = ModelSpec(name, Discrete(q),
-                         NodePotentialSpec(table=h),
-                         EdgePotentialSpec(2, support=((j, 1.0),)),
-                         soft, {"q": q, "beta": beta}, witness)
-
-    elif name == "ising":
-        beta = take("beta", required=True)
-        hval = take("h", 1.0)
-        if beta < 0:
-            raise ModelConfigError("ferromagnetic ising (beta < 0) is out of scope")
-        if hval <= 0:
-            raise ModelConfigError(f"external field h must be positive, got {hval}")
-        h = np.array([1.0, hval])
-        eb = _exp(beta)
-        j = np.array([[1.0 / eb, eb], [eb, 1.0 / eb]])
-        jmax = eb
-        rho_max = max(2.0 * max(1.0, hval), jmax)
-        soft = SoftStateParams(kappa=1.0, rho_min=min(1.0, hval, 1.0 / eb),
-                               rho_max=rho_max, j_max=jmax, alpha=jmax)
-        witness = PowerSumWitness(coef=[[math.sinh(beta)] * 2], coef_probs=[1.0],
-                                  phi=[[[1.0, 1.0], [-1.0, 1.0]]], phi_probs=[1.0])
-        spec = ModelSpec(name, Discrete(2),
-                         NodePotentialSpec(table=h),
-                         EdgePotentialSpec(2, support=((j, 1.0),)),
-                         soft, {"beta": beta, "h": hval}, witness)
-
-    elif name in ("viana_bray", "xor"):
-        k = take("k", required=True)
-        beta = take("beta", required=True)
-        if k < 2:
-            raise ModelConfigError(f"arity k must be >= 2, got {k}")
-        if beta <= 0:
-            raise ModelConfigError(f"viana-bray needs beta > 0, got {beta}")
-        if name == "xor":
-            hval = 1.0
-            i_values, i_probs = (1.0, -1.0), (0.5, 0.5)
-            extra = {}
-        else:
-            hval = take("h", 1.0)
-            if hval <= 0:
-                raise ModelConfigError(f"h must be positive, got {hval}")
-            i_values = take("i_values", (1.0, -1.0))
-            i_probs = take("i_probs", (0.5, 0.5))
-            _check_symmetric_law(i_values, i_probs)
-            extra = {"h": hval, "i_values": list(i_values), "i_probs": list(i_probs)}
-        _check_law_size(len(i_values), 2, k)
-        c_i = max(abs(v) for v in i_values)
-        h = np.array([1.0, hval])
-        jmax = max(hval, _exp(beta * c_i))
-        rho_max = max(2.0 * max(1.0, hval), jmax)
-        # All colors are soft (J >= exp(-beta*c_I) > 0 everywhere): kappa = q.
-        soft = SoftStateParams(kappa=2.0,
-                               rho_min=min(1.0, hval, math.exp(-beta * c_i)),
-                               rho_max=rho_max, j_max=jmax, alpha=jmax)
-        witness = PowerSumWitness(
-            coef=[[jmax - math.cosh(beta * v), -math.sinh(beta * v)] for v in i_values],
-            coef_probs=i_probs, phi=[[[1.0, 1.0], [-1.0, 1.0]]], phi_probs=[1.0])
-        spec = ModelSpec(name, Discrete(2),
-                         NodePotentialSpec(table=h),
-                         EdgePotentialSpec(k, support=_vb_tables(k, beta, i_values, i_probs)),
-                         soft, {"k": k, "beta": beta, **extra}, witness)
-
-    elif name == "ksat":
-        k = take("k", required=True)
-        beta = take("beta", required=True)
-        if k < 2:
-            raise ModelConfigError(f"arity k must be >= 2, got {k}")
-        if beta < 0:
-            raise ModelConfigError(f"ksat needs beta >= 0, got {beta}")
-        _check_law_size(1, 4, k)  # 2^k tables of 2^k entries
-        h = np.ones(2)
-        soft = SoftStateParams(kappa=2.0, rho_min=math.exp(-beta), rho_max=2.0,
-                               j_max=1.0, alpha=1.0)
-        witness = PowerSumWitness(coef=[[1.0 - math.exp(-beta)]], coef_probs=[1.0],
-                                  phi=np.eye(2)[:, None, :], phi_probs=[0.5, 0.5])
-        spec = ModelSpec(name, Discrete(2),
-                         NodePotentialSpec(table=h),
-                         EdgePotentialSpec(k, support=_ksat_tables(k, beta)),
-                         soft, {"k": k, "beta": beta}, witness)
-
-    else:
-        raise ModelConfigError(f"unknown model {name!r}; known: {ZOO_MODELS}")
-
+    h, tables, probs, soft, recorded, witness = _BUILDERS[name](take)
     if known:
         raise ModelConfigError(f"unexpected parameters for {name!r}: {sorted(known)}")
-    return spec
+    return ModelSpec(name, Discrete(len(h)), NodePotentialSpec(table=h),
+                     EdgePotentialSpec(tables.ndim - 1, tables, probs),
+                     soft, recorded, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +569,7 @@ def draw_potentials(model: ModelSpec, graph, seed: int) -> PotentialDraws:
 
     Every node gets the fixed node table.  Edge tables are i.i.d. draws from
     the finite edge law on the EDGE_POTENTIALS substream of ``seed``, so they
-    are deterministic given (model, number of edges, seed).
+    are fixed by (model, number of edges, seed).
     """
     if graph.arity != model.arity:
         raise ModelConfigError(
@@ -615,8 +588,10 @@ def verify_soft_state(model: ModelSpec) -> list[str]:
     """Exhaustively check the soft-state assumption against the stored constants.
 
     Returns a list of human-readable violations (empty means the assumption
-    holds).  The node table and every table of the edge law are checked,
-    with a slack of 1e-12 * (1 + rho_max).
+    holds).  The node table and the stacked edge law are checked, with a
+    slack of 1e-12 * (1 + rho_max): the law by one max over all its tables
+    and one mask of the tuples with a soft coordinate, whose first entry
+    below rho_min is reported.
     """
     soft = model.soft
     lengths = model.domain.lengths
@@ -636,17 +611,17 @@ def verify_soft_state(model: ModelSpec) -> list[str]:
     if mass > soft.rho_max + slack:
         problems.append(f"node mass {mass} > rho_max {soft.rho_max}")
 
-    soft_set = set(int(i) for i in soft_idx)
-    for table, _ in model.edge_pot.support:
-        if float(table.max()) > soft.j_max + slack:
-            problems.append(f"sup J {table.max()} > j_max {soft.j_max}")
-        # Soft interaction: tuples with any soft coordinate stay >= rho_min.
-        for idx in np.ndindex(table.shape):
-            if any(i in soft_set for i in idx):
-                if table[idx] < soft.rho_min - slack:
-                    problems.append(
-                        f"J{idx} = {table[idx]} < rho_min {soft.rho_min}")
-                    break
+    tables = model.edge_pot.tables
+    if tables.max() > soft.j_max + slack:
+        problems.append(f"sup J {tables.max()} > j_max {soft.j_max}")
+    # Soft interaction: tuples with any soft coordinate stay >= rho_min.
+    is_soft = np.isin(np.arange(model.n_states), soft_idx)
+    low = tables < soft.rho_min - slack
+    low &= reduce(np.logical_or.outer, [is_soft] * model.arity)
+    if low.any():
+        t, *idx = (int(i) for i in np.unravel_index(low.argmax(), low.shape))
+        problems.append(f"J{tuple(idx)} of table {t} = {tables[t][tuple(idx)]} "
+                        f"< rho_min {soft.rho_min}")
     return problems
 
 

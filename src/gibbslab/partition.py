@@ -254,18 +254,18 @@ def _product(factors: list, scope: Sequence[int], ring: _Semiring, n_states: int
 
 
 def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
-               edge_factors: Sequence[np.ndarray], ring: _Semiring, cap: int,
+               edge_factors: Sequence[np.ndarray], ring: _Semiring,
                keep: Sequence[int] = ()):
     """Z in ``ring`` by bucket elimination in the min-degree order.
 
     The factors are already in ``ring``: one row of ``node_factors`` per
     node and one table in ``edge_factors`` per tuple in ``edges``.  A
     symbolic pass first finds the largest intermediate factor, over W nodes,
-    and raises StateSpaceCapError when n_states^W exceeds ``cap`` entries,
-    before any table is allocated.  Each bucket multiplies the broadcast
-    tables of its factors and sums the eliminated node out.  Each message is
-    divided by its maximum and Z combines those scales, so equal buckets
-    give equal results whatever the graph's shape.  Disconnected components
+    and raises StateSpaceCapError when n_states^W > DEFAULT_STATE_CAP, before
+    any table is allocated.  Each bucket multiplies the broadcast tables of
+    its factors and sums the eliminated node out.  Each message is divided
+    by its maximum and Z combines those scales, so equal buckets give equal
+    results whatever the graph's shape.  Disconnected components
     factorize with no special code.
 
     Every table keeps its axes in descending elimination position, so a
@@ -286,10 +286,10 @@ def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
     """
     n_nodes, n_states = len(node_factors), len(node_factors[0])
     order, width = _elimination_order(n_nodes, edges, keep)
-    if n_states ** width > cap:
+    if n_states ** width > DEFAULT_STATE_CAP:
         raise StateSpaceCapError(
             f"elimination needs a factor over {width} nodes: "
-            f"{n_states}^{width} entries exceed cap {cap}")
+            f"{n_states}^{width} entries exceed cap {DEFAULT_STATE_CAP}")
     position = [0] * n_nodes
     for i, u in enumerate(order):
         position[u] = i
@@ -348,15 +348,15 @@ def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
     return ring.mul(marginal.transpose(), ring.combine(scales))
 
 
-def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
+def log_z_exact(instance: Instance) -> LogZ:
     """Exact log Z by variable elimination in log space.
 
     Nodes are summed out one at a time in a greedy min-degree order (bucket
     elimination); StateSpaceCapError is raised when the largest intermediate
-    factor would exceed ``cap`` entries.  Buckets add log tables and sum out
-    with ``np.logaddexp.reduce``, so a zero factor stays the -inf sentinel.
-    Each message is shifted to peak at 0 and log Z is the exact sum
-    (``math.fsum``) of the shifts, so rounding does not grow with log Z.
+    factor would exceed DEFAULT_STATE_CAP entries.  Buckets add log tables and
+    sum out with ``np.logaddexp.reduce``, so a zero factor stays the -inf
+    sentinel.  Each message is shifted to peak at 0 and log Z is the exact
+    sum (``math.fsum``) of the shifts, so rounding does not grow with log Z.
 
     The log tables are lifted once per PotentialDraws and spin domain and
     reused by every later call on the same draws (the m + 1 graphs of an
@@ -367,7 +367,7 @@ def log_z_exact(instance: Instance, *, cap: int = DEFAULT_STATE_CAP) -> LogZ:
     The float operations and their order are those of 0.7.0, so every result
     is the same to the last bit.
     """
-    return LogZ(_eliminate(*_factors(instance, _LOG), _LOG, cap))
+    return LogZ(_eliminate(*_factors(instance, _LOG), _LOG))
 
 
 def z_exact_rational(instance: Instance) -> Fraction:
@@ -376,7 +376,7 @@ def z_exact_rational(instance: Instance) -> Fraction:
     Every float potential and cell length is read as the exact rational it
     denotes, and sums and products are exact.
     """
-    return _eliminate(*_factors(instance, _RATIONAL), _RATIONAL, DEFAULT_STATE_CAP)
+    return _eliminate(*_factors(instance, _RATIONAL), _RATIONAL)
 
 
 def z_exact_rational_edge_added(instance: Instance,
@@ -396,7 +396,7 @@ def z_exact_rational_edge_added(instance: Instance,
         scope = tuple(sorted(set(placement)))
         if scope not in marginals:
             marginals[scope] = _eliminate(nodes, edges, edge_factors, _RATIONAL,
-                                          DEFAULT_STATE_CAP, keep=scope)
+                                          keep=scope)
         # A node repeated in the placement collapses the table to its diagonal.
         labels = [scope.index(u) for u in placement]
         for t, table in enumerate(extra):

@@ -11,7 +11,9 @@ The bucket-elimination reference is the 0.7.0 pass: a masked log lift,
 ``einsum`` placement of every edge, a scope built with ``scope.index`` and a
 ``functools.reduce`` product, in the 0.7.0 min-degree order, computed on
 Python sets.  It shares no code with the library, so the library's order and
-pass must give the same order, width and bits.
+pass must give the same order, width and bits.  The soft-state reference
+is the 0.11.0 check: a per-table max and an ``np.ndindex`` loop over every
+tuple of every table of the law.
 """
 
 import functools
@@ -74,18 +76,48 @@ def naive_multilinear(data: np.ndarray, y) -> float:
     return total
 
 
-def naive_mean_shifted_product(x_rows, alpha, support, k) -> float:
+def naive_mean_shifted_product(x_rows, alpha, law, k) -> float:
     """N^-K sum over placements of E prod_l (alpha - J(x^l at placement))."""
     x = np.asarray(x_rows)
     r, n = x.shape
     total = 0.0
     for placement in itertools.product(range(n), repeat=k):
-        for table, prob in support:
-            term = prob
+        for table, prob in zip(law.tables, law.probs):
+            term = float(prob)
             for l in range(r):
                 term *= alpha - float(table[tuple(x[l][v] for v in placement)])
             total += term
     return total / n ** k
+
+
+def naive_verify_soft_state(model) -> list:
+    """Violations of the soft-state assumption, table by table and tuple by
+    tuple, with a slack of 1e-12 * (1 + rho_max)."""
+    soft = model.soft
+    lengths = model.domain.lengths
+    soft_idx = model.soft_states()
+    slack = 1e-12 * (1.0 + soft.rho_max)
+    if soft_idx.size == 0:
+        return ["no state lies inside the soft region [0, kappa)"]
+    problems = []
+    h = model.node_pot.table
+    mass = float(np.dot(h, lengths))
+    soft_mass = float(np.dot(h[soft_idx], lengths[soft_idx]))
+    if soft_mass < soft.rho_min - slack:
+        problems.append(f"soft node mass {soft_mass} < rho_min {soft.rho_min}")
+    if mass > soft.rho_max + slack:
+        problems.append(f"node mass {mass} > rho_max {soft.rho_max}")
+    soft_set = set(int(i) for i in soft_idx)
+    for table in model.edge_pot.tables:
+        if float(table.max()) > soft.j_max + slack:
+            problems.append(f"sup J {table.max()} > j_max {soft.j_max}")
+        # Soft interaction: tuples with any soft coordinate stay >= rho_min.
+        for idx in np.ndindex(table.shape):
+            if any(i in soft_set for i in idx):
+                if table[idx] < soft.rho_min - slack:
+                    problems.append(f"J{idx} = {table[idx]} < rho_min {soft.rho_min}")
+                    break
+    return problems
 
 
 def naive_witness_entry(witness, atom, spins) -> float:
@@ -127,8 +159,8 @@ def naive_power_sum_tensor(witness, x_rows, k) -> np.ndarray:
     return out
 
 
-def naive_expected_tensor(support, alpha, x_rows, k) -> np.ndarray:
-    """E tensor_{l<=r} (alpha - J) over the law's (table, prob) pairs: a loop
+def naive_expected_tensor(law, alpha, x_rows, k) -> np.ndarray:
+    """E tensor_{l<=r} (alpha - J) over the law's tables and probs: a loop
     over every composite index tuple, one shared table in every replica."""
     x = np.asarray(x_rows)
     r, n = x.shape
@@ -136,7 +168,7 @@ def naive_expected_tensor(support, alpha, x_rows, k) -> np.ndarray:
     for flat in itertools.product(range(n ** r), repeat=k):
         composite = [_composite(idx, n, r) for idx in flat]
         total = 0.0
-        for table, prob in support:
+        for table, prob in zip(law.tables, law.probs):
             term = float(prob)
             for l in range(r):
                 term *= alpha - float(table[tuple(x[l][composite[pos][l]]

@@ -122,7 +122,8 @@ def test_criterion_03_perturbation_bounds():
         inst = random_instance(rng, n_max=4)
         edge = tuple(int(x) for x in rng.integers(0, inst.graph.n_nodes,
                                                   size=inst.model.arity))
-        table = inst.model.edge_pot.draw(rng)
+        law = inst.model.edge_pot
+        table = law.tables[law.draw_indices(rng, 1)[0]]
         delta = abs(log_z_exact(add_edge(inst, edge, table)).value
                     - log_z_exact(inst).value)
         worst_edge = max(worst_edge, delta - edge_change_bound(inst, edge))
@@ -144,7 +145,7 @@ def test_criterion_04_certifier_reference_verdicts():
 
     for model in (build_model("potts", q=3, beta=0.8),
                   build_model("ising", beta=0.8, h=1.3)):
-        kernel = model.edge_pot.support[0][0]
+        kernel = model.edge_pot.tables[0]
         cert = min_alpha_psd(kernel, model.soft.j_max)
         ok &= cert.verdict == "psd_for_alpha" and cert.alpha == model.soft.j_max
         details.append(f"{model.name} alpha={cert.alpha:.4f}=J_max")
@@ -212,7 +213,7 @@ def test_criterion_06_ksat_identity_and_vb_moments():
         for r in (1, 2):
             for n in (1, 2, 3):
                 x = rng.integers(0, 2, size=(r, n))
-                exact = naive_expected_tensor(model.edge_pot.support, 1.0, x, k)
+                exact = naive_expected_tensor(model.edge_pot, 1.0, x, k)
                 u = naive_agreement_indicator(x)
                 closed = 0.5 ** k * (1.0 - math.exp(-0.7)) ** r * reduce(
                     np.multiply.outer, [u] * k)

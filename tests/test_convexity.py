@@ -56,9 +56,9 @@ class TestMinAlphaPsd:
 
     def test_potts_q2(self):
         m = build_model("potts", q=2, beta=1.0)
-        cert = min_alpha_psd(m.edge_pot.support[0][0], m.soft.j_max)
+        cert = min_alpha_psd(m.edge_pot.tables[0], m.soft.j_max)
         assert cert.verdict == "psd_for_alpha" and cert.alpha == 1.0
-        shifted = 1.0 - m.edge_pot.support[0][0]
+        shifted = 1.0 - m.edge_pot.tables[0]
         eigs = np.linalg.eigvalsh(shifted)
         np.testing.assert_allclose(eigs, 1.0 - math.exp(-1.0), rtol=1e-12)
 
@@ -151,7 +151,7 @@ class TestMinAlphaPsd:
                   build_model("potts", q=3, beta=0.5),
                   build_model("potts", q=5, beta=1.5),
                   build_model("ising", beta=0.5, h=2.0)):
-            cert = min_alpha_psd(m.edge_pot.support[0][0], m.soft.j_max)
+            cert = min_alpha_psd(m.edge_pot.tables[0], m.soft.j_max)
             assert 1.0 <= cert.cond <= 1.0 + 1e-12, m.name
         assert min_alpha_psd(np.diag([-1.0, 1.0]), 1.0).cond is None
 
@@ -160,7 +160,7 @@ class TestMinAlphaPsd:
         """b'B^+b squared entries of about 1e157 into inf at beta = 400; at
         709.7 the symmetrisation J + J' itself overflowed."""
         m = build_model("ising", beta=beta)
-        cert = min_alpha_psd(m.edge_pot.support[0][0], m.soft.j_max)
+        cert = min_alpha_psd(m.edge_pot.tables[0], m.soft.j_max)
         assert cert.verdict == "psd_for_alpha" and cert.alpha == m.soft.j_max
         assert math.isfinite(cert.alpha) and math.isfinite(cert.tol)
 
@@ -196,7 +196,7 @@ class TestMinAlphaPsd:
 
 def _expected(model, alpha, x_rows):
     """E tensor_{l<=r} (alpha - J) over the model's edge law, by loops."""
-    return naive_expected_tensor(model.edge_pot.support, alpha, x_rows, model.arity)
+    return naive_expected_tensor(model.edge_pot, alpha, x_rows, model.arity)
 
 
 class TestExpectedTensor:
@@ -353,7 +353,7 @@ class TestInterpolationVectors:
         alpha = 1.0
         x = rng.integers(0, 2, size=(2, 3))
         lhs = naive_multilinear(_expected(m, alpha, x), _diagonal(3, 2))
-        rhs = naive_mean_shifted_product(x, alpha, m.edge_pot.support, 2)
+        rhs = naive_mean_shifted_product(x, alpha, m.edge_pot, 2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_block_inequality_certified_models(self):
@@ -398,7 +398,7 @@ class TestModelCertification:
         for m in (build_model("potts", q=2, beta=1.0),
                   build_model("ising", beta=0.8, h=1.0),
                   build_model("ising", beta=400.0, h=1.0)):
-            assert min_alpha_psd(m.edge_pot.support[0][0], m.soft.j_max).alpha \
+            assert min_alpha_psd(m.edge_pot.tables[0], m.soft.j_max).alpha \
                 == m.soft.j_max == m.soft.alpha
             assert certify_model(m).detail["residual"] <= 1e-12 * (1.0 + m.soft.j_max)
 
@@ -409,7 +409,7 @@ class TestModelCertification:
         bare = replace(m, name="bare", witness=None)
         cert = certify_model(bare)
         assert (cert.certified, cert.method) == (False, "none")
-        assert min_alpha_psd(m.edge_pot.support[0][0], m.soft.j_max).verdict == "psd_for_alpha"
+        assert min_alpha_psd(m.edge_pot.tables[0], m.soft.j_max).verdict == "psd_for_alpha"
 
     def test_memory_near_law_size(self):
         """Potts q=256: the check peaks within 8x the law's bytes, for it
@@ -423,6 +423,19 @@ class TestModelCertification:
             tracemalloc.stop()
         assert peak <= 8 * model.edge_pot.tables.nbytes
 
+    def test_memory_blocked_above_2_20(self):
+        """Potts q=2048, a table of 2^22 entries, is compared in row blocks
+        of 2^20 entries: the check peaks within 2x the law's bytes, the
+        rebuilt factor ``left`` included (tracemalloc)."""
+        model = build_model("potts", q=2048, beta=1.0)
+        tracemalloc.start()
+        try:
+            assert certify_model(model).certified
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * model.edge_pot.tables.nbytes
+
     def test_vb_decomposition_tolerance(self):
         m = build_model("viana_bray", k=4, beta=0.8, h=1.5)
         assert certify_model(m).detail["residual"] <= 1e-12 * m.soft.j_max
@@ -435,7 +448,8 @@ def _assert_witness_rebuilds(model, tol):
     w = model.witness
     atoms = itertools.product(range(len(w.coef_probs)),
                               *[range(len(w.phi_probs))] * model.arity)
-    for atom, (table, prob) in zip(atoms, model.edge_pot.support, strict=True):
+    law = model.edge_pot
+    for atom, table, prob in zip(atoms, law.tables, law.probs, strict=True):
         assert prob == pytest.approx(
             w.coef_probs[atom[0]] * math.prod(w.phi_probs[b] for b in atom[1:]), abs=1e-12)
         for spins in itertools.product(range(model.n_states), repeat=model.arity):
@@ -447,8 +461,8 @@ def _vb_two_point(coef_rows, i_values, beta=0.5):
     """Viana-Bray K=2 at beta with the given I law (uniform) and witness rows."""
     m = build_model("viana_bray", k=2, beta=beta)
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    law = EdgePotentialSpec(2, tuple((np.exp(beta * v * signs), 1.0 / len(i_values))
-                                     for v in i_values))
+    law = EdgePotentialSpec(2, [np.exp(beta * v * signs) for v in i_values],
+                            [1.0 / len(i_values)] * len(i_values))
     n_s = len(coef_rows[0])
     phi = [[[1.0, 1.0]] + [[-1.0, 1.0]] * (n_s - 1)]
     witness = PowerSumWitness(coef_rows, [1.0 / len(i_values)] * len(i_values), phi, [1.0])

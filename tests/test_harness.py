@@ -188,7 +188,7 @@ class TestMomentInequality:
         z0 = naive_z(g0)
         head = {}
         for placement in itertools.product(range(n), repeat=model.arity):
-            for idx, (table, _) in enumerate(model.edge_pot.support):
+            for idx, table in enumerate(model.edge_pot.tables):
                 head[placement, idx] = alpha * z0 - naive_z(add_edge(g0, placement, table))
 
         def side(blocks):
@@ -196,7 +196,7 @@ class TestMomentInequality:
             for lo, hi in blocks:
                 weight = Fraction(hi - lo, n) / (hi - lo) ** model.arity
                 for placement in itertools.product(range(lo, hi), repeat=model.arity):
-                    for idx, (_, prob) in enumerate(model.edge_pot.support):
+                    for idx, prob in enumerate(model.edge_pot.probs):
                         total += weight * Fraction(prob) * head[placement, idx] ** r
             return total
 

@@ -25,8 +25,8 @@ from gibbslab import (
 )
 from gibbslab.convexity import certify_model
 from gibbslab.models import (
+    EdgePotentialSpec,
     _check_law_size,
-    _sign_product_table,
     model_from_config,
     model_to_config,
 )
@@ -41,13 +41,13 @@ class TestBuildModel:
         m = build_model("independent_set", **{"lambda": 1.0})
         assert (m.soft.kappa, m.soft.rho_min, m.soft.rho_max, m.soft.j_max) \
             == (1.0, 1.0, 2.0, 1.0)
-        j = m.edge_pot.support[0][0]
+        j = m.edge_pot.tables[0]
         assert j[1, 1] == 0.0 and j[0, 0] == j[0, 1] == j[1, 0] == 1.0
 
     def test_potts_beta_zero_is_trivial(self):
         """beta = 0 makes every edge weight 1 and J_max = 1."""
         m = build_model("potts", q=3, beta=0.0)
-        j = m.edge_pot.support[0][0]
+        j = m.edge_pot.tables[0]
         np.testing.assert_array_equal(j, np.ones((3, 3)))
         assert m.soft.j_max == 1.0
 
@@ -61,7 +61,7 @@ class TestBuildModel:
     def test_ising_antiferromagnetic_kernel(self):
         """beta > 0 favors disagreement: J(equal) = e^-beta < J(unequal)."""
         m = build_model("ising", beta=0.8, h=1.5)
-        j = m.edge_pot.support[0][0]
+        j = m.edge_pot.tables[0]
         assert j[0, 0] == j[1, 1] == pytest.approx(math.exp(-0.8))
         assert j[0, 1] == j[1, 0] == pytest.approx(math.exp(0.8))
         assert m.soft.j_max == pytest.approx(math.exp(0.8))
@@ -133,19 +133,20 @@ class TestBuildModel:
 
     def test_tables_match_entrywise_construction(self):
         """The vectorised tables equal their entrywise constructions bit for
-        bit: the sign table the meshgrid product (k = 2..8), each K-SAT table
-        ones with exp(-beta) at its sign tuple."""
+        bit: XOR's exp(beta * I * prod x) over the meshgrid sign product
+        (k = 2..8), each K-SAT table ones with exp(-beta) at its sign tuple."""
         for k in range(2, 9):
             grids = np.meshgrid(*([np.array([-1.0, 1.0])] * k), indexing="ij")
-            want = np.ones((2,) * k)
+            signs = np.ones((2,) * k)
             for g in grids:
-                want = want * g
-            got = _sign_product_table(k)
+                signs = signs * g
+            want = np.stack([np.exp(0.7 * signs), np.exp(-0.7 * signs)])
+            got = build_model("xor", k=k, beta=0.7).edge_pot.tables
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         for k in (2, 3, 5):
-            support = build_model("ksat", k=k, beta=0.7).edge_pot.support
-            assert len(support) == 2 ** k
-            for i, (table, prob) in enumerate(support):
+            law = build_model("ksat", k=k, beta=0.7).edge_pot
+            assert law.tables.shape == (2 ** k,) + (2,) * k
+            for i, (table, prob) in enumerate(zip(law.tables, law.probs, strict=True)):
                 want = np.ones((2,) * k)
                 want[tuple((i >> (k - 1 - j)) & 1 for j in range(k))] = math.exp(-0.7)
                 assert table.tobytes() == want.tobytes() and prob == 0.5 ** k
@@ -159,6 +160,44 @@ class TestBuildModel:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * model.edge_pot.tables.nbytes
+
+    @pytest.mark.parametrize("name, params, bound", [
+        ("ksat", {"k": 10, "beta": 1.0}, 1.25),
+        ("viana_bray", {"k": 16, "beta": 0.5}, 1.6),
+        ("potts", {"q": 1024, "beta": 1.0}, 2.25),
+    ])
+    def test_build_memory_near_law_size(self, name, params, bound):
+        """Each builder makes its law once, as the array the spec adopts:
+        the tracemalloc peak of build_model, the Potts witness's q x q phi
+        included, stays within ``bound`` times the law's bytes."""
+        tracemalloc.start()
+        try:
+            model = build_model(name, **params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * model.edge_pot.tables.nbytes
+
+    def test_law_array_adopted(self):
+        """A float array passed as the law is the law, made read-only; the
+        probabilities are read-only too."""
+        tables = np.ones((2, 3, 3))
+        law = EdgePotentialSpec(2, tables, [0.25, 0.75])
+        assert np.shares_memory(law.tables, tables) and not tables.flags.writeable
+        assert not law.probs.flags.writeable
+        assert law.probs.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("tables, probs, match", [
+        (np.ones((2, 2, 2)), [0.5, 0.25], "sum to 0.75"),
+        (np.ones((2, 2, 2)), [1.5, -0.5], "positive"),
+        (np.ones((1, 2, 2, 2)), [1.0], "order 3, expected 2"),
+        (np.ones((2, 2, 2)), [1.0], "2 tables but probabilities of shape"),
+        (np.full((1, 2, 2), np.nan), [1.0], "finite and >= 0"),
+        (-np.ones((1, 2, 2)), [1.0], "finite and >= 0"),
+    ])
+    def test_law_checks(self, tables, probs, match):
+        with pytest.raises(ModelConfigError, match=match):
+            EdgePotentialSpec(2, tables, probs)
 
     @pytest.mark.parametrize("key", ["kappa", "rho_min", "rho_max", "j_max", "alpha"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -232,7 +271,7 @@ class TestDraws:
             np.testing.assert_array_equal(draws.node_tables[u], m.node_pot.table)
         for e in range(2):
             np.testing.assert_array_equal(draws.edge_tables[e],
-                                          m.edge_pot.support[0][0])
+                                          m.edge_pot.tables[0])
 
     def test_ksat_sign_tuple_frequencies(self):
         """K=2 sign tuples are uniform over 4 outcomes (3 SE over 1e5 draws)."""
@@ -256,17 +295,20 @@ class TestDraws:
         np.testing.assert_array_equal(a.edge_tables, b.edge_tables)
 
     def test_law_held_once(self):
-        """The support tables are views of one read-only stacked law, also in
-        a pickled copy."""
+        """The law is one read-only stacked array with read-only
+        probabilities, also in a pickled copy."""
         model = build_model("viana_bray", k=3, beta=0.5,
                             i_values=[1.0, 0.0, -1.0], i_probs=[0.25, 0.5, 0.25])
-        for law in (model.edge_pot, pickle.loads(pickle.dumps(model)).edge_pot):
+        copy = pickle.loads(pickle.dumps(model)).edge_pot
+        for law in (model.edge_pot, copy):
             assert law.tables.shape == (3, 2, 2, 2) and not law.tables.flags.writeable
-            for stacked, (table, _) in zip(law.tables, law.support, strict=True):
-                assert np.shares_memory(table, law.tables)
-                np.testing.assert_array_equal(table, stacked)
-        with pytest.raises(ValueError, match="read-only"):
-            model.edge_pot.support[0][0][0, 0, 0] = 2.0
+            assert law.probs.tolist() == [0.25, 0.5, 0.25] and not law.probs.flags.writeable
+        assert copy.tables.tobytes() == model.edge_pot.tables.tobytes()
+        for law in (model.edge_pot, copy):
+            with pytest.raises(ValueError, match="read-only"):
+                law.tables[0, 0, 0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                law.probs[0] = 0.5
 
     def test_arity_mismatch(self):
         m = build_model("ksat", k=3, beta=0.5)
@@ -287,15 +329,14 @@ class TestDraws:
     @pytest.mark.parametrize("m_edges", [0, 1, 37])
     def test_draw_order_pinned(self, model, m_edges):
         """Replay depends on this order: edge e gets the e-th single draw
-        rng.choice(len(support), p=probs) from the EDGE_POTENTIALS substream
+        rng.choice(len(probs), p=probs) from the EDGE_POTENTIALS substream
         (none for a one-table law), and every node gets the node table."""
         seed = 2 ** 70 + 11
         edges = np.random.default_rng(m_edges).integers(0, 5, size=(m_edges, model.arity))
         draws = draw_potentials(model, Hypergraph(5, model.arity, edges), seed)
-        support = model.edge_pot.support
+        tables, probs = model.edge_pot.tables, model.edge_pot.probs.tolist()
         rng = substream(seed, EDGE_POTENTIALS)
-        probs = [p for _, p in support]
-        expected = [support[rng.choice(len(support), p=probs) if len(support) > 1 else 0][0]
+        expected = [tables[rng.choice(len(probs), p=probs) if len(probs) > 1 else 0]
                     for _ in range(m_edges)]
         assert draws.edge_tables.shape == (m_edges,) + (model.n_states,) * model.arity
         for got, want in zip(draws.edge_tables, expected):
@@ -341,7 +382,7 @@ class TestVianaBrayStructure:
         for k in (2, 3):
             m = build_model("viana_bray", k=k, beta=0.9, h=1.4)
             assert certify_model(m).detail["residual"] <= 1e-12 * m.soft.j_max
-            for i_val, (table, _) in zip((1.0, -1.0), m.edge_pot.support):
+            for i_val, table in zip((1.0, -1.0), m.edge_pot.tables, strict=True):
                 for idx in np.ndindex(table.shape):
                     spin_product = math.prod(2 * c - 1 for c in idx)
                     rhs = (m.soft.alpha - math.cosh(0.9 * i_val)
@@ -353,7 +394,8 @@ class TestVianaBrayStructure:
         beta = 0.6
         m = build_model("xor", k=3, beta=beta)
         i_values = [1.0, -1.0]
-        for i_val, (table, prob) in zip(i_values, m.edge_pot.support):
+        for i_val, table, prob in zip(i_values, m.edge_pot.tables, m.edge_pot.probs,
+                                      strict=True):
             assert prob == 0.5
             for idx in np.ndindex(table.shape):
                 minus_count = sum(1 for c in idx if c == 0)

@@ -3,6 +3,8 @@
 import json
 import math
 import pickle
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +34,7 @@ from gibbslab import (
     node_change_bound,
     replace_node_table,
     sample_er,
+    z_exact_rational,
 )
 from gibbslab import partition
 from gibbslab.partition import Instance, LogZ, McLogZ
@@ -53,7 +56,7 @@ def _constant_model(rho: float) -> ModelSpec:
                            alpha=rho)
     return ModelSpec("constant", Discrete(2),
                      NodePotentialSpec(table=np.full(2, rho / 2.0)),
-                     EdgePotentialSpec(2, support=((np.full((2, 2), rho), 1.0),)),
+                     EdgePotentialSpec(2, np.full((1, 2, 2), rho), [1.0]),
                      soft, {})
 
 
@@ -102,15 +105,36 @@ class TestLogZExact:
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_cap(self):
-        """The cap limits elimination factor entries, not assignments: a
-        6-path (largest factor 2^2) evaluates under cap 2^5, the complete
-        graph K_6 (largest factor 2^6) does not."""
+        """The cap limits elimination factor entries, not assignments.  K_25
+        needs a factor over 25 nodes, 2^25 > DEFAULT_STATE_CAP entries, and
+        is refused by the symbolic pass before any factor table exists; a
+        100-node path, 2^100 assignments but factors over 2 nodes, gives
+        Z = F_102, its number of independent sets."""
         m = build_model("independent_set", **{"lambda": 1.0})
-        path = make_instance(m, _graph(6, [[i, i + 1] for i in range(5)]), 0)
-        assert math.exp(log_z_exact(path, cap=2 ** 5).value) == pytest.approx(21.0)
-        clique = _graph(6, [[u, v] for u in range(6) for v in range(u + 1, 6)])
-        with pytest.raises(StateSpaceCapError):
-            log_z_exact(make_instance(m, clique, 0), cap=2 ** 5)
+        clique = make_instance(
+            m, _graph(25, [[u, v] for u in range(25) for v in range(u + 1, 25)]), 0)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            with pytest.raises(StateSpaceCapError, match="2\\^25 entries exceed cap"):
+                log_z_exact(clique)
+            times.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceCapError):
+                log_z_exact(clique)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A 2^25-entry factor would take 256 MiB and tens of milliseconds.
+        assert min(times) < 5e-3 and peak < 2 ** 20
+        path = make_instance(m, _graph(100, [[i, i + 1] for i in range(99)]), 0)
+        fib = [0, 1]
+        while len(fib) <= 102:
+            fib.append(fib[-1] + fib[-2])
+        assert z_exact_rational(path) == fib[102]
+        want = math.log(fib[102])
+        assert abs(log_z_exact(path).value - want) <= 2 * math.ulp(want)
 
     def test_continuous_cells_use_lengths(self):
         """Half-width cells halve every node factor."""
@@ -272,7 +296,7 @@ class TestChangeBounds:
             model = inst.model
             edge = tuple(int(x) for x in rng.integers(0, inst.graph.n_nodes,
                                                       size=model.arity))
-            table = model.edge_pot.draw(rng)
+            table = model.edge_pot.tables[model.edge_pot.draw_indices(rng, 1)[0]]
             bigger = add_edge(inst, edge, table)
             before = log_z_exact(inst).value
             after = log_z_exact(bigger).value
@@ -397,7 +421,7 @@ class TestContinuousModel:
                                alpha=1.0)
         model = ModelSpec("talagrand_toy", domain,
                           NodePotentialSpec(table=h_table),
-                          EdgePotentialSpec(2, support=((j_table, 1.0),)),
+                          EdgePotentialSpec(2, j_table[None], [1.0]),
                           soft, {})
         inst = make_instance(model, _graph(2, [[0, 1]]), 0)
         got = log_z_exact(inst).value
@@ -414,7 +438,7 @@ class TestContinuousModel:
         soft = SoftStateParams(kappa=1.0, rho_min=1e-6, rho_max=4.0, j_max=1.0,
                                alpha=1.0)
         model = ModelSpec("gauss_pair", domain, NodePotentialSpec(table=h_table),
-                          EdgePotentialSpec(2, support=((np.ones((512, 512)), 1.0),)),
+                          EdgePotentialSpec(2, np.ones((1, 512, 512)), [1.0]),
                           soft, {})
         inst = make_instance(model, _graph(2, [[0, 1]]), 0)
         # J = 1: Z factorizes into the squared Gaussian quadrature

@@ -3,9 +3,10 @@ rational) against the rational oracle, component factorization at the
 disjoint-union endpoint, invariance under the discrete-to-continuous
 embedding, the bucket-elimination pass against the 0.7.0 reference bit for
 bit, the sample-major interpolation chain against the per-point pipeline,
-the Monte Carlo shard against the per-node ``rng.choice`` reference, and the
+the Monte Carlo shard against the per-node ``rng.choice`` reference, the
 closed-form minimal PSD shift against a direct scan and
-against the scipy formulation it replaced."""
+against the scipy formulation it replaced, and the vectorised soft-state
+check against the per-tuple loop."""
 
 import dataclasses
 import math
@@ -19,11 +20,16 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.linalg import eigh, null_space
 
 from gibbslab import (
+    Discrete,
+    EdgePotentialSpec,
     Hypergraph,
     Instance,
     InterpolationPoint,
+    ModelSpec,
+    NodePotentialSpec,
     PiecewiseContinuous,
     PotentialDraws,
+    SoftStateParams,
     add_edge,
     build_model,
     certify_model,
@@ -37,12 +43,13 @@ from gibbslab import (
     replace_node_table,
     sample_er,
     sample_interpolated,
+    verify_soft_state,
     z_exact_rational,
     z_exact_rational_edge_added,
 )
 
 from gibbslab import harness, partition
-from gibbslab.partition import DEFAULT_STATE_CAP, MC_SHARD_SIZE, _mc_shard, _safe_log
+from gibbslab.partition import MC_SHARD_SIZE, _mc_shard, _safe_log
 from gibbslab.seeds import MC_SHARD, SAMPLE, derive_seed, substream
 
 from naive import (
@@ -55,6 +62,7 @@ from naive import (
     naive_mc_shard,
     naive_power_sum_tensor,
     naive_safe_log,
+    naive_verify_soft_state,
     naive_z,
 )
 
@@ -215,8 +223,7 @@ def test_log_elimination_matches_070_pass_bit_for_bit(case):
     inst, keep = case
     assert _bits(log_z_exact(inst).value) == _bits(naive_eliminate(inst, NAIVE_LOG))
     ring = partition._LOG
-    got = partition._eliminate(*partition._factors(inst, ring), ring, DEFAULT_STATE_CAP,
-                               keep=keep)
+    got = partition._eliminate(*partition._factors(inst, ring), ring, keep=keep)
     assert _bits(got) == _bits(naive_eliminate(inst, NAIVE_LOG, keep))
 
 
@@ -229,8 +236,7 @@ def test_rational_elimination_matches_070_pass(case):
     z = z_exact_rational(inst)
     assert type(z) is Fraction and z == naive_eliminate(inst, NAIVE_RATIONAL)
     ring = partition._RATIONAL
-    got = partition._eliminate(*partition._factors(inst, ring), ring, DEFAULT_STATE_CAP,
-                               keep=keep)
+    got = partition._eliminate(*partition._factors(inst, ring), ring, keep=keep)
     want = naive_eliminate(inst, NAIVE_RATIONAL, keep)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tolist() == np.asarray(want).tolist()
@@ -520,6 +526,37 @@ def test_expected_tensor_is_the_witness_power_sum(model, data):
     x = np.array(data.draw(st.lists(st.lists(st.integers(0, model.n_states - 1),
                                              min_size=n, max_size=n),
                                     min_size=r, max_size=r)))
-    got = naive_expected_tensor(model.edge_pot.support, model.soft.alpha, x, k)
+    got = naive_expected_tensor(model.edge_pot, model.soft.alpha, x, k)
     want = naive_power_sum_tensor(model.witness, x, k)
     assert np.abs(got - want).max() <= 1e-12 * (1.0 + j_max) ** r
+
+
+@st.composite
+def soft_state_cases(draw):
+    """A model over a random law (q 2-4, K 2-3, one to three tables) whose
+    entries are a constant but for up to three of 0, 0.1 or 0.25, which
+    fall on soft or hard tuples; a random node table; and random kappa,
+    rho_min, rho_max and j_max, some at the thresholds.  Embedded into unit
+    cells half of the time."""
+    q, k, n = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    tables = np.full((n,) + (q,) * k, draw(st.sampled_from([0.5, 1.0])))
+    for _ in range(draw(st.integers(0, 3))):
+        spot = tuple(draw(st.integers(0, size - 1)) for size in tables.shape)
+        tables[spot] = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    h = draw(arrays(float, q, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    j_max = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    soft = SoftStateParams(kappa=draw(st.sampled_from([2.0, 1.0, 1.5, 3.5, 5.0, 0.5])),
+                           rho_min=draw(st.sampled_from([0.1, 0.25, 0.5])),
+                           rho_max=draw(st.sampled_from([1.5, 3.0])),
+                           j_max=j_max, alpha=j_max)
+    model = ModelSpec("random_law", Discrete(q), NodePotentialSpec(table=h),
+                      EdgePotentialSpec(k, tables, [1.0 / n] * n), soft)
+    return embed_discrete(model) if draw(st.booleans()) else model
+
+
+@PROPERTY
+@given(soft_state_cases())
+def test_soft_state_check_matches_tuple_loop(model):
+    """verify_soft_state flags a violation exactly when the per-tuple loop
+    does."""
+    assert bool(verify_soft_state(model)) == bool(naive_verify_soft_state(model))

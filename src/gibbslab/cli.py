@@ -5,16 +5,16 @@ Subcommands: ``model show``, ``gen``, ``logz``, ``certify``, ``interpolate``,
 A model comes from ``--model`` plus one flag per key of
 ``models.MODEL_PARAMS`` (``_`` written ``-``, a sequence comma-separated),
 typed by that key's converter, or from a JSON config file {"model": ...,
-"params": {...}, "seed": ...}.  Records are appended as JSON lines with
-optional CSV export.  Exit status: 0 for pass/report verdicts, 1 for a fail
-verdict, 2 for usage errors, a value ``build_model`` refuses included."""
+"params": {...}, "seed": ...}, whose seed is the command's seed.  Records
+are appended as JSON lines with optional CSV export.  Exit status: 0 for
+pass/report verdicts, 1 for a fail verdict, 2 for usage errors, a value
+``build_model`` refuses included."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import convexity, harness, models, partition
 from .graphs import graph_to_json, sample_er
@@ -29,15 +29,19 @@ def _flag_type(convert):
     return comma_separated if convert is models._float_tuple else convert
 
 
-def _model_from_args(args) -> tuple[models.ModelSpec, Optional[int]]:
+def _model_from_args(args) -> models.ModelSpec:
+    """The model of ``--config`` or of ``--model`` and its flags.  A config's
+    seed is the command's seed: ``--g0-seed`` for ``moments``, else ``--seed``."""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            return models.model_from_config(json.load(fh))
+            model, seed = models.model_from_config(json.load(fh))
+        setattr(args, "g0_seed" if args.command == "moments" else "seed", seed)
+        return model
     if not args.model:
         raise models.ModelConfigError("either --model or --config is required")
     flags = vars(args)
     params = {key: flags[key] for key in models.MODEL_PARAMS if flags[key] is not None}
-    return models.build_model(args.model, **params), None
+    return models.build_model(args.model, **params)
 
 
 def _emit_record(record: harness.ExperimentRecord, args) -> int:
@@ -127,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_model_show(args) -> int:
-    model, seed = _model_from_args(args)
+    model = _model_from_args(args)
     soft = model.soft
     out = {"model": model.name, "params": model.params,
            "soft": {"kappa": soft.kappa, "rho_min": soft.rho_min,
                     "rho_max": soft.rho_max, "j_max": soft.j_max,
                     "alpha": soft.alpha},
            "arity": model.arity, "n_states": model.n_states}
-    if seed is not None:
-        out["seed"] = seed
+    if args.config:
+        out["seed"] = args.seed
     print(json.dumps(out))
     return 0
 
@@ -147,20 +151,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_logz(args) -> int:
-    model, config_seed = _model_from_args(args)
-    seed = args.seed if config_seed is None else config_seed
-    graph = sample_er(args.n, args.c, model.arity, seed)
-    instance = partition.make_instance(model, graph, seed)
+    model = _model_from_args(args)
+    graph = sample_er(args.n, args.c, model.arity, args.seed)
+    instance = partition.make_instance(model, graph, args.seed)
     if args.mc:
-        est = partition.log_z_mc(instance, args.samples, seed)
+        est = partition.log_z_mc(instance, args.samples, args.seed)
     else:
         est = partition.log_z_exact(instance)
-    print(json.dumps(partition.logz_row(est, seed)))
+    print(json.dumps(partition.logz_row(est, args.seed)))
     return 0
 
 
 def _cmd_certify(args) -> int:
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     cert = convexity.certify_model(model)
     print(f"{'certified' if cert.certified else 'not certified'} via {cert.method}")
     print(json.dumps({"model": cert.model, "certified": cert.certified,
@@ -170,7 +173,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     record = harness.interpolation_monotonicity(
         model, args.n, args.n1, args.c, args.samples, args.seed,
         allow_uncertified=args.allow_uncertified)
@@ -178,15 +181,14 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     g0 = harness.random_base_instance(model, args.n, args.g0_edges, args.g0_seed)
-    record = harness.moment_inequality_check(model, args.n, args.n1, args.r,
-                                             g0, alpha=args.alpha)
+    record = harness.moment_inequality_check(g0, args.n1, args.r, alpha=args.alpha)
     return _emit_record(record, args)
 
 
 def _cmd_sizes(args) -> int:
-    model, _ = _model_from_args(args)
+    model = _model_from_args(args)
     record = args.experiment(model, args.n_list, args.c, args.samples, args.seed)
     return _emit_record(record, args)
 

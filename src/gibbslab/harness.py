@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from .convexity import certify_model
 from .graphs import Hypergraph, InterpolationPoint, _check_point, \
     interpolation_chain, sample_er, sample_interpolated
-from .models import MODEL_PARAMS, Discrete, ModelSpec, decode_model
+from .models import MODEL_PARAMS, ModelSpec, decode_model
 from .partition import Instance, instance_from_json, instance_to_json, log_z_exact, \
     make_instance, z_exact_rational, z_exact_rational_edge_added
 from .seeds import EXPERIMENT, GRAPH, SAMPLE, derive_seed, substream
@@ -63,16 +62,11 @@ SE_FACTOR = 3.0
 SLOPE_THRESHOLD = -0.3
 
 
-def resolve_workers(n_workers: Optional[int] = None) -> int:
-    """Worker count: ``n_workers`` if given, else GIBBSLAB_WORKERS, else 1.
+def resolve_workers() -> int:
+    """Worker count: GIBBSLAB_WORKERS, or 1 when it is unset or empty.
 
-    Raises ValueError unless the chosen value is a positive integer; an
-    empty GIBBSLAB_WORKERS counts as unset.
+    Raises ValueError unless the value is a positive integer.
     """
-    if n_workers is not None:
-        if int(n_workers) != n_workers or n_workers < 1:
-            raise ValueError(f"n_workers must be a positive integer, got {n_workers!r}")
-        return int(n_workers)
     env = os.environ.get(WORKERS_ENV)
     if not env:
         return 1
@@ -158,7 +152,7 @@ def _chain_task(args: tuple, lo: int, hi: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _map_blocks(task, jobs: Sequence[tuple], n_workers: Optional[int]) -> list:
+def _map_blocks(task, jobs: Sequence[tuple]) -> list:
     """``task(args, lo, hi)`` over samples 0..n-1 of every (args, n) job.
 
     A mean or a chain is one job; a size-list experiment has one per size.
@@ -168,7 +162,7 @@ def _map_blocks(task, jobs: Sequence[tuple], n_workers: Optional[int]) -> list:
     concatenated in order.  Sample i's seed derives from i alone, so the
     block boundaries and the worker count never change a result.
     """
-    workers = resolve_workers(n_workers)
+    workers = resolve_workers()
     if workers <= 1 or sum(n for _, n in jobs) < 4:
         return [task(args, 0, n) for args, n in jobs]
     blocks = []
@@ -198,16 +192,15 @@ def _check_sizes(n_list: Sequence[int]) -> list[int]:
 
 
 def _sample_sizes(model: ModelSpec, sizes: Sequence[int], c, samples: int,
-                  seed: int, n_workers: Optional[int]) -> list[np.ndarray]:
+                  seed: int) -> list[np.ndarray]:
     """log Z of plain draws per size; size idx draws under (seed, EXPERIMENT, idx)."""
     jobs = [((model, n_nodes, c, None, derive_seed(seed, EXPERIMENT, idx)), samples)
             for idx, n_nodes in enumerate(sizes)]
-    return _map_blocks(_sample_task, jobs, n_workers)
+    return _map_blocks(_sample_task, jobs)
 
 
-def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int,
-                       seed: int, point: Optional[InterpolationPoint] = None,
-                       n_workers: Optional[int] = None) -> MeanEstimate:
+def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int, seed: int,
+                       point: Optional[InterpolationPoint] = None) -> MeanEstimate:
     """Mean and standard error of log Z over fresh (graph, potentials) draws.
 
     A ``point`` whose split is not N nodes, or whose t exceeds floor(c*N), is
@@ -216,8 +209,7 @@ def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int,
     _check_samples(samples)
     if point is not None:
         _check_point(point, n_nodes, c)
-    values, = _map_blocks(_sample_task, [((model, n_nodes, c, point, seed), samples)],
-                          n_workers)
+    values, = _map_blocks(_sample_task, [((model, n_nodes, c, point, seed), samples)])
     return MeanEstimate(*_mean_se(values), samples, seed)
 
 
@@ -231,8 +223,7 @@ def _model_record_params(model: ModelSpec) -> dict:
 
 def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
                                samples_per_t: int, seed: int,
-                               allow_uncertified: bool = False,
-                               n_workers: Optional[int] = None) -> ExperimentRecord:
+                               allow_uncertified: bool = False) -> ExperimentRecord:
     """Estimate E log Z along the interpolation chain t = 0..floor(c*N).
 
     t = 0 is the plain ensemble, t = floor(c*N) the disjoint union.  Sample
@@ -249,8 +240,7 @@ def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
     if not certified and not allow_uncertified:
         raise ValueError(f"model {model.name!r} is not certified; "
                          "pass allow_uncertified=True for a report-only run")
-    chain, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, seed), samples_per_t)],
-                         n_workers)
+    chain, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, seed), samples_per_t)])
     values = np.ascontiguousarray(chain.T)  # one row per t
 
     results: dict = {}
@@ -300,28 +290,21 @@ def random_base_instance(model: ModelSpec, n_nodes: int, n_edges: int,
     return make_instance(model, graph, derive_seed(seed, GRAPH, 2))
 
 
-def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
-                            g0: Instance,
+def moment_inequality_check(g0: Instance, n1: int, r: int,
                             alpha: Optional[float] = None) -> ExperimentRecord:
     """Exact check of E[(alpha Z0 - Z(G0+e))^r] under global vs block placement.
 
-    The left side places the extra edge uniformly over all N^K tuples; the
-    right side picks block j with probability N_j/N and places uniformly
-    inside it.  Both sides sum the finite edge law's tables and all placements
-    in exact rational arithmetic, with every Z evaluated by variable
-    elimination over rationals (floats are dyadic): Z0 by one pass, and
-    Z(G0+e) as the edge table against G0's marginal table over the edge's
-    nodes, one pass per node set.  So the verdict compares exactly.  Also
-    checks alpha*Z0 >= Z(G0+e) for every placement and draw.
+    The model and N are those of the base instance ``g0``.  Z0 and the array
+    of Z(G0 + e) over [t, u_1, ..., u_K] are exact rationals (variable
+    elimination over dyadic floats), so E_t term^r, term = alpha Z0 -
+    Z(G0 + e), is one exact array over placements.  The left side is its
+    mean over all N^K tuples; the right side picks block j with probability
+    N_j/N and takes the mean over its N_j^K tuples.  So the verdict compares
+    exactly.  Also checks alpha*Z0 >= Z(G0+e) for every placement and draw.
     """
+    model, n_nodes = g0.model, g0.graph.n_nodes
     if n_nodes > 8 or r > 3 or r < 1:
         raise ValueError("exact moment check is limited to N <= 8, 1 <= r <= 3")
-    if not isinstance(model.domain, Discrete):
-        raise ValueError("exact moment check needs a discrete model")
-    if g0.graph.n_nodes != n_nodes:
-        raise ValueError("base instance does not match n_nodes")
-    if (g0.model.name, g0.model.params) != (model.name, model.params):
-        raise ValueError("base instance was drawn under a different model")
     if not 1 <= n1 <= n_nodes:
         raise ValueError("need 1 <= n1 <= n_nodes")
     alpha = float(model.soft.alpha if alpha is None else alpha)
@@ -330,26 +313,13 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
     alpha_f = Fraction(alpha)
     k = model.arity
 
-    z0 = z_exact_rational(g0)
-    probs = [Fraction(p) for p in model.edge_pot.probs]
-    z_plus = z_exact_rational_edge_added(g0, model.edge_pot.tables)
-    term = {key: alpha_f * z0 - z for key, z in z_plus.items()}
-    min_headroom = min(term.values())
-
-    left = Fraction(0)
-    inv_total = Fraction(1, n_nodes ** k)
-    for placement in product(range(n_nodes), repeat=k):
-        for t_idx, prob in enumerate(probs):
-            left += inv_total * prob * term[placement, t_idx] ** r
-
-    right = Fraction(0)
-    blocks = [(0, n1)] + ([(n1, n_nodes)] if n1 < n_nodes else [])
-    for lo, hi in blocks:
-        size = hi - lo
-        w_block = Fraction(size, n_nodes) * Fraction(1, size ** k)
-        for placement in product(range(lo, hi), repeat=k):
-            for t_idx, prob in enumerate(probs):
-                right += w_block * prob * term[placement, t_idx] ** r
+    term = alpha_f * z_exact_rational(g0) - \
+        z_exact_rational_edge_added(g0, model.edge_pot.tables)
+    min_headroom = term.min()
+    moment = sum(Fraction(p) * term[t] ** r for t, p in enumerate(model.edge_pot.probs))
+    left = moment.sum() / n_nodes ** k
+    right = sum(Fraction(hi - lo, n_nodes) * moment[(slice(lo, hi),) * k].sum()
+                / (hi - lo) ** k for lo, hi in ((0, n1), (n1, n_nodes)) if hi > lo)
 
     passed = left <= right and min_headroom >= 0
     results = {"left": float(left), "right": float(right),
@@ -366,8 +336,7 @@ def moment_inequality_check(model: ModelSpec, n_nodes: int, n1: int, r: int,
 # ---------------------------------------------------------------------------
 
 def concentration_experiment(model: ModelSpec, n_list: Sequence[int], c,
-                             samples: int, seed: int,
-                             n_workers: Optional[int] = None) -> ExperimentRecord:
+                             samples: int, seed: int) -> ExperimentRecord:
     """Fit the decay rate of std(log Z / N) against N.
 
     Passes when the fitted log-log slope is at or below ``SLOPE_THRESHOLD``
@@ -381,8 +350,7 @@ def concentration_experiment(model: ModelSpec, n_list: Sequence[int], c,
         raise ValueError(f"n_list has duplicate sizes: {sizes}")
     results: dict = {}
     stds = []
-    for n_nodes, logz in zip(sizes, _sample_sizes(model, sizes, c, samples, seed,
-                                                  n_workers)):
+    for n_nodes, logz in zip(sizes, _sample_sizes(model, sizes, c, samples, seed)):
         values = logz / float(n_nodes)
         std = _sample_std(values)
         stds.append(std)
@@ -410,8 +378,7 @@ def concentration_experiment(model: ModelSpec, n_list: Sequence[int], c,
 # ---------------------------------------------------------------------------
 
 def convergence_experiment(model: ModelSpec, n_list: Sequence[int], c,
-                           samples: int, seed: int,
-                           n_workers: Optional[int] = None) -> ExperimentRecord:
+                           samples: int, seed: int) -> ExperimentRecord:
     """Tabulate a_N = E log Z(G(N,c)) and its near-superadditivity residuals.
 
     Reports a_N / N, residuals a_N - a_{N1} - a_{N2} over splits available in
@@ -423,8 +390,7 @@ def convergence_experiment(model: ModelSpec, n_list: Sequence[int], c,
     sizes = sorted(set(_check_sizes(n_list)))
     a: dict[int, float] = {}
     results: dict = {}
-    for n_nodes, values in zip(sizes, _sample_sizes(model, sizes, c, samples, seed,
-                                                    n_workers)):
+    for n_nodes, values in zip(sizes, _sample_sizes(model, sizes, c, samples, seed)):
         a[n_nodes], se = _mean_se(values)
         results[f"a_{n_nodes}"] = a[n_nodes]
         results[f"a_se_{n_nodes}"] = se
@@ -513,8 +479,7 @@ def _model_from_params(params: dict) -> ModelSpec:
                         {k: params[k] for k in MODEL_PARAMS if k in params})
 
 
-def replay_record(record: ExperimentRecord,
-                  n_workers: Optional[int] = None) -> ExperimentRecord:
+def replay_record(record: ExperimentRecord) -> ExperimentRecord:
     """Re-run an experiment from its stored params; results must reproduce.
 
     Records of settings removed in 0.7.0 raise ValueError."""
@@ -526,27 +491,23 @@ def replay_record(record: ExperimentRecord,
         if p.get(key, value) != value:
             raise ValueError(f"{key} = {p[key]!r} is not {value}, the only value "
                              "since 0.7.0; this record cannot be replayed")
-    model = _model_from_params(p)
     name = record.experiment
+    if name == "moment_inequality":  # g0 carries the model and N
+        return moment_inequality_check(instance_from_json(p["g0"]), p["n1"], p["r"],
+                                       alpha=p["alpha"])
+    model = _model_from_params(p)
     if name == "interpolation_monotonicity":
         return interpolation_monotonicity(
             model, p["n"], p["n1"], p["c"], p["samples_per_t"], p["seed"],
-            allow_uncertified=True, n_workers=n_workers)
-    if name == "moment_inequality":
-        g0 = instance_from_json(p["g0"])
-        return moment_inequality_check(model, p["n"], p["n1"], p["r"], g0,
-                                       alpha=p["alpha"])
+            allow_uncertified=True)
     if name == "concentration":
-        return concentration_experiment(model, p["n_list"], p["c"], p["samples"],
-                                        p["seed"], n_workers=n_workers)
+        return concentration_experiment(model, p["n_list"], p["c"], p["samples"], p["seed"])
     if name == "convergence":
-        return convergence_experiment(model, p["n_list"], p["c"], p["samples"],
-                                      p["seed"], n_workers=n_workers)
+        return convergence_experiment(model, p["n_list"], p["c"], p["samples"], p["seed"])
     raise ValueError(f"unknown experiment {name!r}")
 
 
-def verify_replay(record: ExperimentRecord,
-                  n_workers: Optional[int] = None) -> bool:
+def verify_replay(record: ExperimentRecord) -> bool:
     """True when a re-run reproduces every result real bit-identically."""
-    fresh = replay_record(record, n_workers=n_workers)
+    fresh = replay_record(record)
     return fresh.results == record.results and fresh.verdict == record.verdict

@@ -113,15 +113,21 @@ SpinDomain = Union[Discrete, PiecewiseContinuous]
 
 @dataclass(frozen=True)
 class NodePotentialSpec:
-    """The node potential h: one fixed, non-negative table over domain states."""
+    """The node potential h: one fixed, non-negative table over domain states,
+    held as a read-only private copy."""
 
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
+        t = np.array(self.table, dtype=float)
         if np.any(t < 0) or not np.all(np.isfinite(t)):
             raise ModelConfigError("node potential table must be finite and >= 0")
+        t.setflags(write=False)
         object.__setattr__(self, "table", t)
+
+    def __reduce__(self):
+        # A copy goes through __post_init__, so it is read-only too.
+        return NodePotentialSpec, (self.table,)
 
 
 @dataclass(frozen=True)
@@ -132,8 +138,9 @@ class EdgePotentialSpec:
     ``probs`` holds their n probabilities, which the exact expectation
     operators sum over.  Deterministic kernels are one table, K-SAT has 2^K
     equally likely sign tuples, Viana-Bray one table per value of I.  A
-    float array is adopted without a copy, so a builder's array is the law;
-    both arrays are made read-only.
+    float array that owns its data is adopted without a copy, so a builder's
+    array is the law; a view, whose base would stay writable, is copied.
+    Both arrays are made read-only.
     """
 
     arity: int
@@ -149,6 +156,8 @@ class EdgePotentialSpec:
         if not abs(probs.sum() - 1.0) <= 1e-12:
             raise ModelConfigError(f"law probabilities sum to {probs.sum()}, not 1")
         tables = np.asarray(self.tables, dtype=float)
+        if not tables.flags.owndata:
+            tables = tables.copy()
         if tables.ndim != self.arity + 1:
             raise ModelConfigError(
                 f"law table has order {tables.ndim - 1}, expected {self.arity}")
@@ -452,10 +461,10 @@ def _ksat(take):
     witness = PowerSumWitness(coef=[[1.0 - math.exp(-beta)]], coef_probs=[1.0],
                               phi=np.eye(2)[:, None, :], phi_probs=[0.5, 0.5])
     # The table of the sign tuple with row-major index i is exp(-beta) at
-    # entry i and 1 elsewhere: row i of a (2^k, 2^k) array.
-    tables = np.ones((2 ** k, 2 ** k))
-    np.fill_diagonal(tables, math.exp(-beta))
-    return (np.ones(2), tables.reshape((2 ** k,) + (2,) * k), np.full(2 ** k, 0.5 ** k),
+    # entry i and 1 elsewhere: row i of the law seen as a (2^k, 2^k) array.
+    tables = np.ones((2 ** k,) + (2,) * k)
+    np.fill_diagonal(tables.reshape(2 ** k, 2 ** k), math.exp(-beta))
+    return (np.ones(2), tables, np.full(2 ** k, 0.5 ** k),
             soft, {"k": k, "beta": beta}, witness)
 
 

@@ -19,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -380,19 +379,21 @@ def z_exact_rational(instance: Instance) -> Fraction:
 
 
 def z_exact_rational_edge_added(instance: Instance,
-                                tables: Sequence[np.ndarray]) -> dict:
+                                tables: Sequence[np.ndarray]) -> np.ndarray:
     """Exact Z(G + e) for an extra edge e at every K-tuple of nodes.
 
-    Returns {(placement, t): Z} where the extra edge sits at ``placement``
-    with potential table ``tables[t]``.  Z(G + e) is the sum of the edge
-    table times the marginal table of G over the edge's nodes, and one
-    elimination pass gives that table for each set of nodes.
+    Returns an object array of Fractions indexed [t, u_1, ..., u_K]: the
+    extra edge sits at (u_1, ..., u_K) with potential table ``tables[t]``.
+    Z(G + e) is the sum of the edge table times the marginal table of G over
+    the edge's nodes, and one elimination pass gives that table for each set
+    of nodes.
     """
     nodes, edges, edge_factors = _factors(instance, _RATIONAL)
     extra = [_RATIONAL.lift(np.asarray(table, dtype=float)) for table in tables]
     marginals: dict = {}
-    out = {}
-    for placement in product(range(instance.graph.n_nodes), repeat=instance.model.arity):
+    out = np.empty((len(extra),) + (instance.graph.n_nodes,) * instance.model.arity,
+                   dtype=object)
+    for placement in np.ndindex(out.shape[1:]):
         scope = tuple(sorted(set(placement)))
         if scope not in marginals:
             marginals[scope] = _eliminate(nodes, edges, edge_factors, _RATIONAL,
@@ -400,8 +401,8 @@ def z_exact_rational_edge_added(instance: Instance,
         # A node repeated in the placement collapses the table to its diagonal.
         labels = [scope.index(u) for u in placement]
         for t, table in enumerate(extra):
-            out[placement, t] = (np.einsum(table, labels, range(len(scope)))
-                                 * marginals[scope]).sum()
+            out[(t,) + placement] = (np.einsum(table, labels, range(len(scope)))
+                                     * marginals[scope]).sum()
     return out
 
 

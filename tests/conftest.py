@@ -1,9 +1,19 @@
-"""Shared test helpers: random zoo models and random small instances."""
+"""Shared test helpers: random zoo models and random small instances, and
+the worker count for a block."""
+
+import os
+from unittest import mock
 
 import numpy as np
 
 from gibbslab import Hypergraph, build_model, make_instance
+from gibbslab.harness import WORKERS_ENV
 from gibbslab.seeds import derive_seed
+
+
+def workers(n):
+    """Context manager: GIBBSLAB_WORKERS = n inside the block, restored after."""
+    return mock.patch.dict(os.environ, {WORKERS_ENV: str(n)})
 
 
 def random_zoo_model(rng: np.random.Generator, names=None):

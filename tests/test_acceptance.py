@@ -42,7 +42,7 @@ from gibbslab import (
 from gibbslab.harness import convergence_experiment
 from gibbslab.seeds import substream
 
-from conftest import merge_low_bins, random_instance
+from conftest import merge_low_bins, random_instance, workers
 from naive import naive_agreement_indicator, naive_expected_tensor, naive_power_sum_tensor
 
 IS1 = build_model("independent_set", **{"lambda": 1.0})
@@ -255,7 +255,7 @@ def test_criterion_07_moment_inequality_sweep():
                         m_edges = g0_seed % 4
                         g0 = random_base_instance(model, n, m_edges,
                                                   seed=7000 + g0_seed)
-                        rec = moment_inequality_check(model, n, n1, r, g0)
+                        rec = moment_inequality_check(g0, n1, r)
                         checks += 1
                         if rec.verdict != "pass":
                             failures += 1
@@ -358,12 +358,12 @@ def test_criterion_12_replay_determinism():
                                             seed=14))
     records.append(convergence_experiment(IS1, [4, 8], 1, samples=40, seed=15))
     m = build_model("ksat", k=2, beta=0.5)
-    records.append(moment_inequality_check(m, 3, 1, 2,
-                                           random_base_instance(m, 3, 2, seed=4)))
+    records.append(moment_inequality_check(random_base_instance(m, 3, 2, seed=4), 1, 2))
     ok = True
     for rec in records:
         ok &= verify_replay(rec)
-        again = replay_record(rec, n_workers=2)
+        with workers(2):
+            again = replay_record(rec)
         ok &= again.results == rec.results
     _report(12, ok, f"{len(records)} experiments replayed bit-identically "
                     f"with 1 and 2 workers")

@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
+from gibbslab import harness
 from gibbslab.cli import cli_run
 from gibbslab.models import MODEL_PARAMS, model_to_config
 
-from conftest import random_zoo_model
+from conftest import random_zoo_model, workers
 
 
 def run(capsys, *argv):
@@ -317,6 +318,59 @@ class TestExperimentCommands:
         assert code == 0
         record = json.loads(out)
         assert record["verdict"] == "pass"
+
+    def test_moments_embedded_config(self, capsys, tmp_path):
+        """An embedded K-SAT config runs the exact check; the results and the
+        verdict are those of its discrete preimage."""
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"model": "ksat_embedded",
+                                   "params": {"k": 3, "beta": 0.9}, "seed": 0}))
+        argv = ("--n", "4", "--n1", "2", "--r", "3")
+        code, out, _ = run(capsys, "moments", "--config", str(cfg), *argv)
+        assert code == 0
+        embedded = json.loads(out)
+        _, out, _ = run(capsys, "moments", "--model", "ksat", "--k", "3",
+                        "--beta", "0.9", *argv)
+        preimage = json.loads(out)
+        assert embedded["params"]["model"] == "ksat_embedded"
+        assert (embedded["results"], embedded["verdict"]) == \
+            (preimage["results"], preimage["verdict"]) and preimage["verdict"] == "pass"
+
+    @pytest.mark.parametrize("command, seed_flag", [
+        (("interpolate", "--n", "4", "--n1", "2", "--c", "1", "--samples", "6"),
+         "--seed"),
+        (("moments", "--n", "3", "--n1", "1", "--r", "2"), "--g0-seed"),
+        (("concentrate", "--n-list", "4,5", "--c", "1", "--samples", "6"), "--seed"),
+        (("converge", "--n-list", "4,5", "--c", "1", "--samples", "6"), "--seed"),
+        (("logz", "--n", "5", "--c", "1.5"), "--seed"),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_config_seed_is_the_command_seed(self, capsys, tmp_path, command,
+                                             seed_flag):
+        """A --config run gives the output of the flag run with the config's
+        seed as --seed (--g0-seed for moments), timestamps aside."""
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"model": "ksat", "params": {"k": 2, "beta": 0.9},
+                                   "seed": 7}))
+        outputs = []
+        for model_args in (("--config", str(cfg)),
+                           ("--model", "ksat", "--k", "2", "--beta", "0.9",
+                            seed_flag, "7")):
+            code, out, _ = run(capsys, *command, *model_args)
+            assert code in (0, 1)
+            row = json.loads(out)
+            row.pop("timestamp", None)
+            outputs.append(row)
+        assert outputs[0] == outputs[1]
+
+    def test_failing_chain_exits_1(self, capsys, monkeypatch):
+        """A rising chain fails the verdict, and interpolate exits 1."""
+        monkeypatch.setattr(harness, "_chain_task",
+                            lambda args, lo, hi: np.array([[0.0, 1.0]] * (hi - lo)))
+        with workers(1):
+            code, out, _ = run(capsys, "interpolate", "--model", "independent_set",
+                               "--lambda", "1", "--n", "4", "--n1", "2", "--c", "0.25",
+                               "--samples", "4")
+        assert code == 1 and json.loads(out)["verdict"] == "fail"
 
     def test_interpolate_writes_records(self, capsys, tmp_path):
         out_path = tmp_path / "records.jsonl"

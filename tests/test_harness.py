@@ -41,7 +41,7 @@ from gibbslab.harness import (
 )
 from gibbslab.models import model_from_config, model_to_config
 
-from conftest import random_zoo_model
+from conftest import random_zoo_model, workers
 from naive import naive_z
 
 IS1 = build_model("independent_set", **{"lambda": 1.0})
@@ -80,8 +80,10 @@ class TestEstimateMeanLogz:
         """One worker and two give the same mean and SE, bit for bit."""
         model = random_zoo_model(np.random.default_rng(model_seed))
         point = InterpolationPoint(1, n // 2, n - n // 2) if interpolated else None
-        a = estimate_mean_logz(model, n, c, samples, seed, point, n_workers=1)
-        b = estimate_mean_logz(model, n, c, samples, seed, point, n_workers=2)
+        with workers(1):
+            a = estimate_mean_logz(model, n, c, samples, seed, point)
+        with workers(2):
+            b = estimate_mean_logz(model, n, c, samples, seed, point)
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_interpolation_point_accepted(self):
@@ -122,9 +124,28 @@ class TestInterpolationMonotonicity:
 
         monkeypatch.setattr(harness, "certify_model", unreachable)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", unreachable)
-        with pytest.raises(ValueError, match="n1"):
-            interpolation_monotonicity(IS1, 6, n1, 1, samples_per_t=4, seed=0,
-                                       n_workers=2)
+        with workers(2), pytest.raises(ValueError, match="n1"):
+            interpolation_monotonicity(IS1, 6, n1, 1, samples_per_t=4, seed=0)
+
+    @pytest.mark.parametrize("chain, fails", [
+        # The second step rises by 1 in every sample; the endpoint falls by 1.
+        ([[2.0, 0.0, 1.0]] * 4, "step"),
+        # The second step rises by 0.1 on average, well within its noise, but
+        # the endpoint rises by 0.1 in every sample, so its SE is 0.
+        ([[0.0, s, 0.1] for s in (1.0, -1.0, 1.0, -1.0)], "endpoint"),
+    ], ids=["step", "endpoint"])
+    def test_rise_fails(self, monkeypatch, chain, fails):
+        """A rise beyond SE_FACTOR standard errors, at one step or only at
+        the endpoint, fails a certified model's verdict."""
+        monkeypatch.setattr(harness, "_chain_task",
+                            lambda args, lo, hi: np.array(chain[lo:hi]))
+        with workers(1):
+            rec = interpolation_monotonicity(IS1, 4, 2, "0.5", samples_per_t=4, seed=0)
+        assert rec.verdict == "fail"
+        steps_ok = all(rec.results[f"diff_{t}"] >= -3.0 * rec.results[f"diff_se_{t}"]
+                       for t in range(2))
+        assert steps_ok == (fails == "endpoint")
+        assert (rec.results["endpoint_diff"] < 0) == (fails == "endpoint")
 
     def test_other_certified_models_monotone(self):
         """The monotone decrease holds beyond IS: Potts and K-SAT probes."""
@@ -146,14 +167,14 @@ class TestInterpolationMonotonicity:
 class TestMomentInequality:
     def test_is_exhaustive_placements(self):
         g0 = random_base_instance(IS1, 3, 2, seed=5)
-        rec = moment_inequality_check(IS1, 3, 1, 2, g0)
+        rec = moment_inequality_check(g0, 1, 2)
         assert rec.verdict == "pass"
         assert rec.results["left"] <= rec.results["right"]
         assert rec.results["min_headroom"] >= 0.0
 
     def test_r1_reports_both_sides(self):
         g0 = random_base_instance(IS1, 3, 2, seed=8)
-        rec = moment_inequality_check(IS1, 3, 2, 1, g0)
+        rec = moment_inequality_check(g0, 2, 1)
         assert {"left", "right", "margin"} <= set(rec.results)
         assert rec.verdict == "pass"
 
@@ -161,7 +182,7 @@ class TestMomentInequality:
         """potts beta=0 has J = 1 = alpha, so alpha Z0 - Z(+e) = 0."""
         m = build_model("potts", q=2, beta=0.0)
         g0 = random_base_instance(m, 3, 2, seed=2)
-        rec = moment_inequality_check(m, 3, 1, 2, g0)
+        rec = moment_inequality_check(g0, 1, 2)
         assert rec.results["left"] == 0.0 and rec.results["right"] == 0.0
         assert rec.results["exact_equal"] == 1.0
 
@@ -169,7 +190,7 @@ class TestMomentInequality:
         """r = 3 with a K = 3 model stays exact and fast at N = 4."""
         m = build_model("ksat", k=3, beta=0.6)
         g0 = random_base_instance(m, 4, 2, seed=11)
-        rec = moment_inequality_check(m, 4, 2, 3, g0)
+        rec = moment_inequality_check(g0, 2, 3)
         assert rec.verdict == "pass"
         assert rec.results["min_headroom"] >= 0.0
 
@@ -183,7 +204,7 @@ class TestMomentInequality:
         """Both sides and the headroom recomputed from the brute-force oracle
         on every G0 + e, at N beyond the old limit of 4."""
         g0 = random_base_instance(model, n, n_edges, seed=n + r)
-        rec = moment_inequality_check(model, n, n1, r, g0)
+        rec = moment_inequality_check(g0, n1, r)
         alpha = Fraction(model.soft.alpha)
         z0 = naive_z(g0)
         head = {}
@@ -212,31 +233,33 @@ class TestMomentInequality:
         """K = 3 3-SAT with r = 3 at the limit N = 8: 512 placements x 8 tables."""
         m = build_model("ksat", k=3, beta=0.9)
         g0 = random_base_instance(m, 8, 6, seed=1)
-        rec = moment_inequality_check(m, 8, 4, 3, g0)
+        rec = moment_inequality_check(g0, 4, 3)
         assert rec.verdict == "pass"
         assert rec.results["min_headroom"] >= 0.0
 
     def test_preconditions(self):
         g0 = random_base_instance(IS1, 3, 2, seed=5)
         with pytest.raises(ValueError):
-            moment_inequality_check(IS1, 9, 1, 2, g0)
+            moment_inequality_check(random_base_instance(IS1, 9, 2, seed=5), 1, 2)
         with pytest.raises(ValueError):
-            moment_inequality_check(IS1, 3, 1, 4, g0)
+            moment_inequality_check(g0, 1, 4)
+        for n1 in (0, 4):
+            with pytest.raises(ValueError, match="1 <= n1 <= n_nodes"):
+                moment_inequality_check(g0, n1, 2)
 
-    def test_base_instance_under_other_params_rejected(self):
-        """A g0 drawn at beta = 0.5 is not a base instance for beta = 3.0."""
-        g0 = random_base_instance(build_model("ksat", k=2, beta=0.5), 3, 2, seed=4)
-        with pytest.raises(ValueError, match="different model"):
-            moment_inequality_check(build_model("ksat", k=2, beta=3.0), 3, 1, 2, g0)
-        same = build_model("ksat", k=2, beta=0.5)
-        assert moment_inequality_check(same, 3, 1, 2, g0).verdict == "pass"
+    def test_model_and_size_read_from_base(self):
+        """The record's model params and N are those of g0."""
+        model = build_model("ksat", k=2, beta=0.5)
+        rec = moment_inequality_check(random_base_instance(model, 4, 2, seed=4), 2, 2)
+        assert rec.params["model"] == "ksat" and rec.params["n"] == 4
+        assert (rec.params["k"], rec.params["beta"]) == (2, 0.5)
 
     @pytest.mark.parametrize("field,value", [("edge_tables", math.nan),
                                              ("node_tables", -1.0)])
     def test_replay_rejects_invalid_g0_tables(self, field, value):
         """A stored g0 whose tables are non-finite or negative does not load."""
         g0 = random_base_instance(IS1, 3, 2, seed=5)
-        rec = moment_inequality_check(IS1, 3, 1, 2, g0)
+        rec = moment_inequality_check(g0, 1, 2)
         payload = json.loads(rec.params["g0"])
         table = np.array(payload[field])
         table.flat[0] = value
@@ -249,7 +272,7 @@ class TestMomentInequality:
     def test_non_finite_alpha_rejected(self, alpha):
         g0 = random_base_instance(IS1, 3, 2, seed=5)
         with pytest.raises(ValueError, match="alpha"):
-            moment_inequality_check(IS1, 3, 1, 2, g0, alpha=alpha)
+            moment_inequality_check(g0, 1, 2, alpha=alpha)
 
     def test_base_instance_sizes_rejected(self):
         with pytest.raises(ValueError, match="n_nodes"):
@@ -343,7 +366,7 @@ class TestRecordsAndReplay:
         assert verify_replay(rec)
         m = build_model("ksat", k=2, beta=0.5)
         g0 = random_base_instance(m, 3, 1, seed=3)
-        rec2 = moment_inequality_check(m, 3, 1, 2, g0)
+        rec2 = moment_inequality_check(g0, 1, 2)
         assert verify_replay(rec2)
         rec3 = concentration_experiment(IS1, [4, 6], 1, samples=25, seed=8)
         assert verify_replay(rec3)
@@ -355,13 +378,14 @@ class TestRecordsAndReplay:
 
     def test_replay_with_two_workers(self):
         rec = concentration_experiment(IS1, [4, 6], 1, samples=24, seed=12)
-        again = replay_record(rec, n_workers=2)
+        with workers(2):
+            again = replay_record(rec)
         assert again.results == rec.results
 
     def test_replay_survives_serialization(self):
         m = build_model("viana_bray", k=2, beta=0.5, h=1.2)
         g0 = random_base_instance(m, 3, 2, seed=7)
-        rec = moment_inequality_check(m, 3, 1, 1, g0)
+        rec = moment_inequality_check(g0, 1, 1)
         back = record_from_json(record_to_json(rec))
         assert verify_replay(back)
 
@@ -427,11 +451,12 @@ class TestGoldenRecords:
     @pytest.mark.parametrize("index", range(5))
     def test_v0_4_0_record_replays(self, index, n_workers):
         record = read_records(str(GOLDEN))[index]
-        if index == 1:
-            with pytest.raises(ValueError, match="uncoupled"):
-                verify_replay(record, n_workers=n_workers)
-        else:
-            assert verify_replay(record, n_workers=n_workers)
+        with workers(n_workers):
+            if index == 1:
+                with pytest.raises(ValueError, match="uncoupled"):
+                    verify_replay(record)
+            else:
+                assert verify_replay(record)
 
 
 class CountingPool(harness.ProcessPoolExecutor):
@@ -450,15 +475,13 @@ class TestOnePoolPerExperiment:
         return CountingPool
 
     @pytest.mark.parametrize("run", [
-        lambda: interpolation_monotonicity(IS1, 5, 2, 1, samples_per_t=12, seed=1,
-                                           n_workers=2),
-        lambda: concentration_experiment(IS1, [4, 5, 6], 1, samples=12, seed=2,
-                                         n_workers=2),
-        lambda: convergence_experiment(IS1, [3, 4, 7], 1, samples=12, seed=3,
-                                       n_workers=2),
+        lambda: interpolation_monotonicity(IS1, 5, 2, 1, samples_per_t=12, seed=1),
+        lambda: concentration_experiment(IS1, [4, 5, 6], 1, samples=12, seed=2),
+        lambda: convergence_experiment(IS1, [3, 4, 7], 1, samples=12, seed=3),
     ], ids=["coupled", "concentration", "convergence"])
     def test_two_workers_open_one_pool(self, pool, run):
-        run()
+        with workers(2):
+            run()
         assert pool.created == 1
 
     @pytest.mark.parametrize("point, message", [
@@ -466,8 +489,8 @@ class TestOnePoolPerExperiment:
         (InterpolationPoint(9, 3, 3), "exceeds edge count 6"),
     ], ids=["split", "t"])
     def test_bad_point_opens_no_pool(self, pool, point, message):
-        with pytest.raises(ValueError, match=message):
-            estimate_mean_logz(IS1, 6, 1, 40, 0, point, n_workers=2)
+        with workers(2), pytest.raises(ValueError, match=message):
+            estimate_mean_logz(IS1, 6, 1, 40, 0, point)
         assert pool.created == 0
 
     def test_coupled_chain_one_elimination_per_value(self, monkeypatch):
@@ -481,8 +504,8 @@ class TestOnePoolPerExperiment:
 
         monkeypatch.setattr(harness, "log_z_exact", counting)
         samples, n, c = 7, 6, "1.5"
-        interpolation_monotonicity(IS1, n, 2, c, samples_per_t=samples, seed=4,
-                                   n_workers=1)
+        with workers(1):
+            interpolation_monotonicity(IS1, n, 2, c, samples_per_t=samples, seed=4)
         m = edge_count(n, c)
         assert calls == [m] * (samples * (m + 1))
 
@@ -503,8 +526,8 @@ class TestOnePoolPerExperiment:
         monkeypatch.setattr(partition, "_LOG", replace(partition._LOG, nodes=nodes,
                                                        lift=edges))
         samples = 7
-        interpolation_monotonicity(IS1, 6, 2, "1.5", samples_per_t=samples, seed=4,
-                                   n_workers=1)
+        with workers(1):
+            interpolation_monotonicity(IS1, 6, 2, "1.5", samples_per_t=samples, seed=4)
         assert lifts == ["nodes", "edges"] * samples
 
 
@@ -512,18 +535,16 @@ class TestWorkersEnv:
     def test_resolution_order(self, monkeypatch):
         monkeypatch.delenv("GIBBSLAB_WORKERS", raising=False)
         assert resolve_workers() == 1
-        assert resolve_workers(3) == 3
+        monkeypatch.setenv("GIBBSLAB_WORKERS", "")
+        assert resolve_workers() == 1
         monkeypatch.setenv("GIBBSLAB_WORKERS", "2")
         assert resolve_workers() == 2
-        assert resolve_workers(5) == 5
+        with workers(3):
+            assert resolve_workers() == 3
+        assert resolve_workers() == 2
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", " 2", "+2"])
     def test_rejects_non_positive_integers(self, monkeypatch, value):
         monkeypatch.setenv("GIBBSLAB_WORKERS", value)
         with pytest.raises(ValueError, match="GIBBSLAB_WORKERS"):
             resolve_workers()
-
-    @pytest.mark.parametrize("value", [0, -5, 1.5])
-    def test_rejects_bad_argument(self, value):
-        with pytest.raises(ValueError, match="n_workers"):
-            resolve_workers(value)

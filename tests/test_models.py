@@ -26,6 +26,7 @@ from gibbslab import (
 from gibbslab.convexity import certify_model
 from gibbslab.models import (
     EdgePotentialSpec,
+    NodePotentialSpec,
     _check_law_size,
     model_from_config,
     model_to_config,
@@ -186,6 +187,31 @@ class TestBuildModel:
         assert np.shares_memory(law.tables, tables) and not tables.flags.writeable
         assert not law.probs.flags.writeable
         assert law.probs.tolist() == [0.25, 0.75]
+
+    def test_law_view_copied(self):
+        """A view is copied, so a write through its base after construction
+        does not reach the checked law."""
+        j = np.ones((2, 2))
+        law = EdgePotentialSpec(2, j[None], [1.0])
+        j[0, 0] = -5.0
+        assert law.tables[0, 0, 0] == 1.0 and not np.shares_memory(law.tables, j)
+
+    def test_node_table_private_read_only_copy(self):
+        """A caller's array is copied, and the table of every zoo model is
+        read-only, in a pickled copy too; each builder hands over its law
+        array, which the spec adopts without a copy."""
+        h = np.array([1.0, 2.0])
+        node = NodePotentialSpec(h)
+        h[0] = -3.0
+        assert node.table.tolist() == [1.0, 2.0]
+        rng = np.random.default_rng(3)
+        for name in ZOO_MODELS:
+            model = random_zoo_model(rng, names=(name,))
+            assert model.edge_pot.tables.flags.owndata, name
+            for table in (model.node_pot.table,
+                          pickle.loads(pickle.dumps(model)).node_pot.table):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = -3.0
 
     @pytest.mark.parametrize("tables, probs, match", [
         (np.ones((2, 2, 2)), [0.5, 0.25], "sum to 0.75"),

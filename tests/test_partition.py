@@ -169,6 +169,14 @@ class TestLogZMc:
         assert abs(est.value - math.log(3)) <= 3 * est.std_error
         assert est.std_error < 1e-3
 
+    def test_one_sample_has_no_se(self):
+        """One sample gives no standard error, and the row omits it.  Ising
+        weights are positive, so the sample is not the all-zero case."""
+        inst = make_instance(build_model("ising", beta=0.3, h=1.7), _graph(2, [[0, 1]]), 0)
+        est = log_z_mc(inst, samples=1, seed=0)
+        assert est.std_error is None and math.isfinite(est.value)
+        assert "se" not in logz_row(est, 0)
+
     def test_all_zero_weights_reports_bound(self):
         m = build_model("independent_set", **{"lambda": 1.0})
         inst = make_instance(m, _graph(2, [[0, 1]]), 0)

@@ -164,8 +164,8 @@ def test_edge_added_matches_rational_oracle(inst, seed):
     tables = [np.where(rng.random(shape) < 0.2, 0.0, rng.uniform(0.1, 2.0, shape))
               for _ in range(2)]
     got = z_exact_rational_edge_added(inst, tables)
-    assert len(got) == 2 * inst.graph.n_nodes ** inst.model.arity
-    for (placement, t), z in got.items():
+    assert got.shape == (2,) + (inst.graph.n_nodes,) * inst.model.arity
+    for (t, *placement), z in np.ndenumerate(got):
         assert z == naive_z(add_edge(inst, placement, tables[t]))
 
 

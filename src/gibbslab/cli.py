@@ -8,7 +8,7 @@ typed by that key's converter, or from a JSON config file {"model": ...,
 "params": {...}, "seed": ...}, whose seed is the command's seed.  Records
 are appended as JSON lines with optional CSV export.  Exit status: 0 for
 pass/report verdicts, 1 for a fail verdict, 2 for usage errors, a value
-``build_model`` refuses included."""
+``build_model`` refuses and a size that cannot be allocated included."""
 
 from __future__ import annotations
 
@@ -205,6 +205,9 @@ def cli_run(argv) -> int:
         hint = ("rerun with --mc" if args.command == "logz"
                 else "use a smaller N or c")
         print(f"error: {exc}; {hint}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an edge count numpy cannot allocate, say
+        print(f"error: {exc or 'out of memory'}; use a smaller N or c", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -239,7 +239,8 @@ def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
     certified = certify_model(model).certified
     if not certified and not allow_uncertified:
         raise ValueError(f"model {model.name!r} is not certified; "
-                         "pass allow_uncertified=True for a report-only run")
+                         "pass allow_uncertified=True (--allow-uncertified on "
+                         "the command line) for a report-only run")
     chain, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, seed), samples_per_t)])
     values = np.ascontiguousarray(chain.T)  # one row per t
 
@@ -482,7 +483,8 @@ def _model_from_params(params: dict) -> ModelSpec:
 def replay_record(record: ExperimentRecord) -> ExperimentRecord:
     """Re-run an experiment from its stored params; results must reproduce.
 
-    Records of settings removed in 0.7.0 raise ValueError."""
+    Records of settings removed in 0.7.0, and moment records whose model,
+    model params or N are not those of their stored g0, raise ValueError."""
     p = record.params
     if not p.get("couple", True):
         raise ValueError("the uncoupled interpolation chain was removed in 0.7.0; "
@@ -493,8 +495,13 @@ def replay_record(record: ExperimentRecord) -> ExperimentRecord:
                              "since 0.7.0; this record cannot be replayed")
     name = record.experiment
     if name == "moment_inequality":  # g0 carries the model and N
-        return moment_inequality_check(instance_from_json(p["g0"]), p["n1"], p["r"],
-                                       alpha=p["alpha"])
+        g0 = instance_from_json(p["g0"])
+        stored = {key: value for key, value in p.items()
+                  if key not in ("n1", "r", "alpha", "g0")}
+        if stored != {**_model_record_params(g0.model), "n": g0.graph.n_nodes}:
+            raise ValueError("the record's model, model params or n are not its "
+                             "g0's; this record cannot be replayed")
+        return moment_inequality_check(g0, p["n1"], p["r"], alpha=p["alpha"])
     model = _model_from_params(p)
     if name == "interpolation_monotonicity":
         return interpolation_monotonicity(

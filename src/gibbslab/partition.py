@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -128,13 +129,16 @@ def _safe_log(table: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
-                       keep: Sequence[int] = ()) -> tuple[list[int], int]:
-    """Greedy min-degree elimination order of the primal graph and its width.
+                       keep: Sequence[int] = ()) -> tuple[list[int], list[list[int]], int]:
+    """Greedy min-degree elimination order of the primal graph, each
+    eliminated node's neighbours when it goes, and the width.
 
     Ties go to the lowest node index, so the order, and with it every bit of
     log_z_exact, is the same in every process.  The nodes in ``keep`` come
-    last, in ascending order.  The width is the number of nodes in the
-    largest scope an elimination step creates, or in ``keep``.
+    last, in ascending order, and have no entry in the neighbour lists:
+    entry i lists the nodes that order[i] is joined to when it is
+    eliminated, which with order[i] itself is the scope of its bucket.  The
+    width is the number of nodes in the largest such scope, or in ``keep``.
 
     Each node's neighbours are an ``int`` bitmask and its degree is the
     mask's ``bit_count``.  A heap of (degree, node) entries is popped until
@@ -161,6 +165,7 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
+    joined_to: list[list[int]] = []
     eliminated = [False] * n_nodes
     width = 0
     while heap:
@@ -170,6 +175,8 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
             continue  # stale entry: u's degree changed after it was pushed
         eliminated[u] = True
         order.append(u)
+        joined: list[int] = []
+        joined_to.append(joined)
         if degree >= width:
             width = degree + 1
         # Each neighbour v of u gains u's other neighbours and loses u.
@@ -177,12 +184,13 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
         rest = nbrs
         while rest:
             v = rest.bit_length() - 1
+            joined.append(v)
             low = 1 << v
             rest ^= low
-            adj[v] = joined = (adj[v] | nbrs) & drop ^ low
+            adj[v] = mask = (adj[v] | nbrs) & drop ^ low
             if not kept & low:
-                push(heap, (joined.bit_count(), v))
-    return order + sorted(keep), max(width, len(keep))
+                push(heap, (mask.bit_count(), v))
+    return order + sorted(keep), joined_to, max(width, len(keep))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,54 +245,40 @@ def _factors(instance: Instance, ring: _Semiring) -> tuple:
     return lifted[0], instance.graph.edges.tolist(), lifted[1]
 
 
-def _product(factors: list, scope: Sequence[int], ring: _Semiring, n_states: int):
-    """The running product, in bucket order, of (scope, table) ``factors``
-    broadcast over ``scope``.  Scopes run in descending position, so a
-    factor over a tail of ``scope`` (the bucket's own node factor, say)
-    broadcasts as it is; only a factor that skips a position is reshaped."""
-    width = len(scope)
-    mul = ring.mul
-    product = None
-    for s, table in factors:
-        if s[0] != scope[width - len(s)]:
-            table = table.reshape([n_states if a in s else 1 for a in scope])
-        product = table if product is None else mul(product, table)
-    return product
-
-
 def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
                edge_factors: Sequence[np.ndarray], ring: _Semiring,
                keep: Sequence[int] = ()):
     """Z in ``ring`` by bucket elimination in the min-degree order.
 
     The factors are already in ``ring``: one row of ``node_factors`` per
-    node and one table in ``edge_factors`` per tuple in ``edges``.  A
-    symbolic pass first finds the largest intermediate factor, over W nodes,
-    and raises StateSpaceCapError when n_states^W > DEFAULT_STATE_CAP, before
-    any table is allocated.  Each bucket multiplies the broadcast tables of
-    its factors and sums the eliminated node out.  Each message is divided
-    by its maximum and Z combines those scales, so equal buckets give equal
-    results whatever the graph's shape.  Disconnected components
-    factorize with no special code.
+    node and one table in ``edge_factors`` per tuple in ``edges``.  The
+    min-degree pass gives the order, the width W and each bucket's scope:
+    the bucket's node and the nodes it is joined to when it goes.  It raises
+    StateSpaceCapError when n_states^W > DEFAULT_STATE_CAP, before any table
+    is allocated.  Each bucket multiplies the broadcast tables of its
+    factors and sums the eliminated node out.  Each message is divided by
+    its maximum and Z combines those scales, so equal buckets give equal
+    results whatever the graph's shape.  Disconnected components factorize
+    with no special code.
 
     Every table keeps its axes in descending elimination position, so a
     bucket sums out its last axis and a factor over a tail of the bucket's
-    scope broadcasts without a reshape.  An edge whose tuple has distinct
-    nodes enters its bucket as a transposed view of its table; only a tuple
+    scope broadcasts as it is.  A factor (node factor, edge or message) is
+    shaped once, where it enters the bucket of its last position, and only
+    if it skips a position of that bucket's scope.  An edge whose tuple has
+    distinct nodes enters as a transposed view of its table; only a tuple
     that repeats a node goes through ``einsum``, which takes the diagonal.
-    Each bucket keeps the set of positions its factors cover, so its scope
-    is a sort of that set, and its product is a running ``ring.mul`` in the
-    order the factors arrived.  A bucket over one node sends no message and
-    is its own scale.  Every float operation and its order are those of the
-    0.7.0 pass (``tests/naive.py``), entry by entry, so every bit of the
-    result is too.
+    A bucket's product is a running ``ring.mul`` in the order its factors
+    arrived.  A bucket over one node sends no message and is its own scale.
+    Every float operation and its order are those of the 0.7.0 pass
+    (``tests/naive.py``), entry by entry, so every bit of the result is too.
 
-    The nodes in ``keep`` are not summed out.  The result is then G's
-    marginal table over them, axes in ascending node order, whose sum is Z
-    (the ring's zero when Z = 0).
+    The nodes in ``keep`` are not summed out.  Every kept bucket spans all
+    kept positions, and the result is G's marginal table over them, axes in
+    ascending node order, whose sum is Z (the ring's zero when Z = 0).
     """
     n_nodes, n_states = len(node_factors), len(node_factors[0])
-    order, width = _elimination_order(n_nodes, edges, keep)
+    order, joined_to, width = _elimination_order(n_nodes, edges, keep)
     if n_states ** width > DEFAULT_STATE_CAP:
         raise StateSpaceCapError(
             f"elimination needs a factor over {width} nodes: "
@@ -292,12 +286,16 @@ def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
     position = [0] * n_nodes
     for i, u in enumerate(order):
         position[u] = i
-
-    # A factor is (scope, table): scope lists elimination positions in
-    # descending order and the table has one axis per scope entry, so a
-    # factor always sits in the bucket of its last scope entry.
-    buckets = [[((i,), node_factors[u])] for i, u in enumerate(order)]
-    covers = [{i} for i in range(n_nodes)]
+    n_out = n_nodes - len(keep)
+    # A scope lists elimination positions in descending order, so a factor
+    # sits in the bucket of its last scope entry and a table has one axis
+    # per scope entry.
+    scopes = [sorted([position[v] for v in joined], reverse=True) + [i]
+              for i, joined in enumerate(joined_to)]
+    scopes += [list(range(n_nodes - 1, n_out - 1, -1))] * len(keep)
+    buckets = [[node_factors[u]] for u in order]
+    for i in range(n_out + 1, n_nodes):  # a kept node after the first skips positions
+        buckets[i][0] = buckets[i][0].reshape([n_states if a == i else 1 for a in scopes[i]])
     for edge, table in zip(edges, edge_factors):
         axes = [position[u] for u in edge]
         scope = sorted(set(axes), reverse=True)
@@ -311,48 +309,45 @@ def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
             # einsum labels must be small: label each axis by its rank in
             # scope.  The repeated node collapses the table to its diagonal.
             table = np.einsum(table, [scope.index(a) for a in axes], range(len(scope)))
-        buckets[scope[-1]].append((scope, table))
-        covers[scope[-1]].update(scope)
+        bucket = scopes[scope[-1]]
+        if scope[0] != bucket[len(bucket) - len(scope)]:  # it skips a position
+            table = table.reshape([n_states if a in scope else 1 for a in bucket])
+        buckets[scope[-1]].append(table)
 
-    sum_out, div, zero = ring.sum_out, ring.div, ring.zero
-    n_out = n_nodes - len(keep)
+    mul, sum_out, div, zero = ring.mul, ring.sum_out, ring.div, ring.zero
     scales = []
     for i in range(n_out):
-        cover = covers[i]
-        if len(cover) == 1:
-            # Every factor is over node i alone, so no factor is reshaped, the
-            # sum is a scalar, its own maximum, and no message leaves.
-            scale = sum_out(_product(buckets[i], (i,), ring, n_states), -1)
-            if scale == zero:
-                return zero
-            scales.append(scale)
-            continue
-        scope = sorted(cover, reverse=True)
-        message = sum_out(_product(buckets[i], scope, ring, n_states), -1)
-        # The largest entry, by Python's max: a message holds no NaN, so this
-        # is the value np.maximum.reduce gives.
-        scale = max(message.ravel().tolist())
+        message = sum_out(reduce(mul, buckets[i]), -1)
+        rest = scopes[i][:-1]
+        # A bucket over node i alone sums to a scalar (a bare Fraction in the
+        # rational ring), its own maximum, and sends no message.  Otherwise
+        # the scale is the largest entry, by Python's max: a message holds no
+        # NaN, so this is the value np.maximum.reduce gives.
+        scale = max(message.ravel().tolist()) if rest else message
         if scale == zero:
             return zero  # every assignment of the scope has weight 0
         scales.append(scale)
-        rest = scope[:-1]
-        buckets[rest[-1]].append((rest, div(message, scale)))
-        covers[rest[-1]].update(rest)
+        if rest:
+            message, bucket = div(message, scale), scopes[rest[-1]]
+            if rest[0] != bucket[len(bucket) - len(rest)]:
+                message = message.reshape([n_states if a in rest else 1 for a in bucket])
+            buckets[rest[-1]].append(message)
     if not keep:
         return ring.combine(scales)
-    # Every factor left sits in a kept node's bucket and has only kept nodes;
-    # reversing the axes of their product puts them in ascending order.
-    rest = [factor for bucket in buckets[n_out:] for factor in bucket]
-    marginal = _product(rest, range(n_nodes - 1, n_out - 1, -1), ring, n_states)
-    return ring.mul(marginal.transpose(), ring.combine(scales))
+    # Every factor left sits in a kept bucket, shaped over all kept
+    # positions; reversing the axes of their product puts them in ascending
+    # node order.
+    marginal = reduce(mul, [table for bucket in buckets[n_out:] for table in bucket])
+    return mul(marginal.transpose(), ring.combine(scales))
 
 
 def log_z_exact(instance: Instance) -> LogZ:
     """Exact log Z by variable elimination in log space.
 
     Nodes are summed out one at a time in a greedy min-degree order (bucket
-    elimination); StateSpaceCapError is raised when the largest intermediate
-    factor would exceed DEFAULT_STATE_CAP entries.  Buckets add log tables and
+    elimination), and the pass that finds the order gives each bucket's
+    scope; StateSpaceCapError is raised when the largest intermediate factor
+    would exceed DEFAULT_STATE_CAP entries.  Buckets add log tables and
     sum out with ``np.logaddexp.reduce``, so a zero factor stays the -inf
     sentinel.  Each message is shifted to peak at 0 and log Z is the exact
     sum (``math.fsum``) of the shifts, so rounding does not grow with log Z.
@@ -360,9 +355,11 @@ def log_z_exact(instance: Instance) -> LogZ:
     The log tables are lifted once per PotentialDraws and spin domain and
     reused by every later call on the same draws (the m + 1 graphs of an
     interpolation chain sample, say).  An edge over distinct nodes enters its
-    bucket as a transposed view of its log table, a bucket's product is a
-    running ``np.add`` of its factors in arrival order, and a bucket over one
-    node is only summed, so each call costs a few numpy calls per bucket.
+    bucket as a transposed view of its log table, a factor is reshaped only
+    where it enters a bucket and skips a position of its scope, a bucket's
+    product is a running ``np.add`` of its factors in arrival order, and a
+    bucket over one node is only summed, so each call costs a few numpy calls
+    per bucket.
     The float operations and their order are those of 0.7.0, so every result
     is the same to the last bit.
     """

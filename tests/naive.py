@@ -11,9 +11,9 @@ The bucket-elimination reference is the 0.7.0 pass: a masked log lift,
 ``einsum`` placement of every edge, a scope built with ``scope.index`` and a
 ``functools.reduce`` product, in the 0.7.0 min-degree order, computed on
 Python sets.  It shares no code with the library, so the library's order and
-pass must give the same order, width and bits.  The soft-state reference
-is the 0.11.0 check: a per-table max and an ``np.ndindex`` loop over every
-tuple of every table of the law.
+pass must give the same order, bucket scopes, width and bits.  The
+soft-state reference is the 0.11.0 check: a per-table max and an
+``np.ndindex`` loop over every tuple of every table of the law.
 """
 
 import functools
@@ -224,8 +224,9 @@ NAIVE_RATIONAL = SimpleNamespace(
 
 
 def naive_elimination_order(n_nodes, scopes, keep=()):
-    """The 0.7.0 greedy min-degree order and its width, on sets of
-    neighbours: ties to the lowest index, ``keep`` last in ascending order."""
+    """The 0.7.0 greedy min-degree order, each eliminated node's set of
+    neighbours when it goes, and the width, on sets of neighbours: ties to
+    the lowest index, ``keep`` last in ascending order."""
     adj = [set() for _ in range(n_nodes)]
     for scope in scopes:
         for u in scope:
@@ -235,6 +236,7 @@ def naive_elimination_order(n_nodes, scopes, keep=()):
     heap = [(len(nbrs), u) for u, nbrs in enumerate(adj) if u not in keep]
     heapq.heapify(heap)
     order = []
+    joined = []
     eliminated = [False] * n_nodes
     width = 0
     while heap:
@@ -243,13 +245,14 @@ def naive_elimination_order(n_nodes, scopes, keep=()):
             continue
         eliminated[u] = True
         order.append(u)
+        joined.append(set(adj[u]))
         width = max(width, degree + 1)
         for v in adj[u]:
             adj[v] |= adj[u]
             adj[v] -= {u, v}
             if v not in keep:
                 heapq.heappush(heap, (len(adj[v]), v))
-    return order + sorted(keep), max(width, len(keep))
+    return order + sorted(keep), joined, max(width, len(keep))
 
 
 def naive_product(factors, scope, ring, n_states):
@@ -263,15 +266,17 @@ def naive_product(factors, scope, ring, n_states):
     return functools.reduce(ring.mul, tables)
 
 
-def naive_eliminate(instance, ring, keep=()):
+def naive_eliminate(instance, ring, keep=(), scopes=None):
     """Z of ``instance`` in ``ring`` (NAIVE_LOG or NAIVE_RATIONAL), or its
-    marginal table over the nodes in ``keep``, by the 0.7.0 bucket pass."""
+    marginal table over the nodes in ``keep``, by the 0.7.0 bucket pass.
+    Each summed-out bucket's scope, the union of its factors' scopes in
+    ascending position, is appended to ``scopes`` when a list is given."""
     node_factors = ring.nodes(instance.potentials.node_tables,
                               instance.model.domain.lengths)
     edges = instance.graph.edges.tolist()
     edge_factors = ring.lift(instance.potentials.edge_tables)
     n_nodes, n_states = node_factors.shape
-    order, width = naive_elimination_order(n_nodes, edges, keep)
+    order, _, width = naive_elimination_order(n_nodes, edges, keep)
     assert n_states ** width <= DEFAULT_STATE_CAP
     position = [0] * n_nodes
     for i, u in enumerate(order):
@@ -286,6 +291,8 @@ def naive_eliminate(instance, ring, keep=()):
     scales = []
     for i in range(n_out):
         scope = sorted(set().union(*(s for s, _ in buckets[i])))
+        if scopes is not None:
+            scopes.append(scope)
         message = ring.sum0(naive_product(buckets[i], scope, ring, n_states))
         scale = message.max()
         if scale == ring.zero:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from gibbslab import harness
+from gibbslab import cli, harness
 from gibbslab.cli import cli_run
 from gibbslab.models import MODEL_PARAMS, model_to_config
 
@@ -122,6 +122,28 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert "--mc" not in err and "smaller N or c" in err
         assert re.search(r"2\^\d+ entries exceed", err)
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--n", "5", "--c", "1e9"),
+        ("logz", "--model", "independent_set", "--lambda", "1", "--n", "5",
+         "--c", "1e9"),
+    ])
+    def test_unallocatable_size_exits_2(self, capsys, monkeypatch, argv):
+        """An edge count numpy cannot allocate is a usage error.  The sampler
+        is stubbed to raise as numpy does, so the test allocates nothing."""
+        def unallocatable(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+        monkeypatch.setattr(cli, "sample_er", unallocatable)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "74.5 GiB" in err and "smaller N or c" in err
+
+    def test_uncertified_interpolate_names_the_flag(self, capsys):
+        """XOR K = 3 is not certified; the refusal names the CLI flag."""
+        code, out, err = run(capsys, "interpolate", "--model", "xor", "--k", "3",
+                             "--beta", "0.5", "--n", "4", "--n1", "2", "--c", "1",
+                             "--samples", "4")
+        assert code == 2 and out == "" and "--allow-uncertified" in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_bad_workers_env(self, capsys, monkeypatch, value):

@@ -254,6 +254,17 @@ class TestMomentInequality:
         assert rec.params["model"] == "ksat" and rec.params["n"] == 4
         assert (rec.params["k"], rec.params["beta"]) == (2, 0.5)
 
+    @pytest.mark.parametrize("edit", [
+        {"model": "ising", "q": 99, "n": 7}, {"model": "ising"},
+        {"model": "potts_embedded"}, {"q": 99}, {"beta": 0.1}, {"n": 7}, {"h": 1.0}])
+    def test_replay_refuses_params_that_are_not_g0s(self, edit):
+        """Model, model params and N are stored beside g0; a record whose
+        stored values differ from g0's is refused, not replayed from g0."""
+        model = build_model("potts", q=3, beta=0.7)
+        rec = moment_inequality_check(random_base_instance(model, 4, 2, 0), 2, 2)
+        with pytest.raises(ValueError, match="not its g0's"):
+            verify_replay(replace(rec, params={**rec.params, **edit}))
+
     @pytest.mark.parametrize("field,value", [("edge_tables", math.nan),
                                              ("node_tables", -1.0)])
     def test_replay_rejects_invalid_g0_tables(self, field, value):
@@ -391,12 +402,15 @@ class TestRecordsAndReplay:
 
     @pytest.mark.parametrize("name", ZOO_MODELS)
     def test_zoo_model_and_embedding_replay(self, name):
-        """Records and configs of every zoo model and of its embedding decode
-        back to the same model."""
+        """Interpolation and moment records and configs of every zoo model
+        and of its embedding decode back to the same model; the records
+        replay, a moment record's stored params matching its g0's."""
         base = build_model(name, **ZOO_PARAMS[name])
         for model in (base, embed_discrete(base)):
             rec = interpolation_monotonicity(model, 4, 2, 1, samples_per_t=4, seed=0,
                                              allow_uncertified=True)
+            assert verify_replay(record_from_json(record_to_json(rec)))
+            rec = moment_inequality_check(random_base_instance(model, 3, 2, seed=0), 1, 2)
             assert verify_replay(record_from_json(record_to_json(rec)))
             back, seed = model_from_config(model_to_config(model, 5))
             assert (back.name, back.params, seed) == (model.name, model.params, 5)

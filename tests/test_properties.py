@@ -254,8 +254,50 @@ def test_elimination_order_matches_set_reference(n, k, data, seed):
         scopes[0][-1] = scopes[0][0]  # a tuple that repeats a node
     keep = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), max_size=6,
                                            unique=True))))
-    got = partition._elimination_order(n, scopes, keep)
-    assert got == naive_elimination_order(n, scopes, keep)
+    order, joined_to, width = partition._elimination_order(n, scopes, keep)
+    want_order, want_joined, want_width = naive_elimination_order(n, scopes, keep)
+    assert (order, width) == (want_order, want_width)
+    assert [sorted(joined) for joined in joined_to] == [sorted(j) for j in want_joined]
+
+
+@st.composite
+def bucket_scope_cases(draw):
+    """(instance, keep) over binary spins with positive tables, so that no
+    bucket ends the pass early: N up to 12, K 2 or 3, up to N edges on each
+    of two node blocks (so the graph is disconnected when both blocks have
+    nodes), a tuple that repeats a node in half the draws, and up to three
+    kept nodes."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 12))
+    n1 = draw(st.integers(1, n))
+    edges = []
+    for lo, hi in ((0, n1), (n1, n)):
+        for _ in range(draw(st.integers(0, hi - lo))):
+            edges.append([draw(st.integers(lo, hi - 1)) for _ in range(k)])
+    if edges and draw(st.booleans()):
+        edges[0][-1] = edges[0][0]  # a tuple that repeats a node
+    graph = Hypergraph(n, k, np.array(edges, dtype=np.int64).reshape(-1, k))
+    model = build_model("viana_bray", k=k, beta=0.5, h=1.0)
+    keep = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    return make_instance(model, graph, draw(SEEDS)), tuple(sorted(keep))
+
+
+@PROPERTY
+@given(bucket_scope_cases())
+def test_bucket_scopes_are_the_order_pass_neighbours(case):
+    """Every bucket the 0.7.0 pass sums out covers exactly its own position
+    and the positions of the nodes the min-degree pass joins it to when it
+    goes; the width is the largest such scope, or the kept set."""
+    inst, keep = case
+    order, joined_to, width = partition._elimination_order(
+        inst.graph.n_nodes, inst.graph.edges.tolist(), keep)
+    position = {u: i for i, u in enumerate(order)}
+    scopes: list = []
+    naive_eliminate(inst, NAIVE_LOG, keep, scopes)
+    assert len(scopes) == len(joined_to) == inst.graph.n_nodes - len(keep)
+    for i, (scope, joined) in enumerate(zip(scopes, joined_to)):
+        assert scope == sorted({i} | {position[v] for v in joined})
+    assert width == max([len(scope) for scope in scopes] + [len(keep)])
 
 
 @PROPERTY

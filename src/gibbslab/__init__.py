@@ -75,4 +75,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.13.1"
+__version__ = "0.13.2"

@@ -129,67 +129,59 @@ def _safe_log(table: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
-                       keep: Sequence[int] = ()) -> tuple[list[int], list[list[int]], int]:
+                       keep: Sequence[int] = ()) -> tuple[list[int], list[set[int]], int]:
     """Greedy min-degree elimination order of the primal graph, each
     eliminated node's neighbours when it goes, and the width.
 
     Ties go to the lowest node index, so the order, and with it every bit of
     log_z_exact, is the same in every process.  The nodes in ``keep`` come
-    last, in ascending order, and have no entry in the neighbour lists:
-    entry i lists the nodes that order[i] is joined to when it is
+    last, in ascending order, and have no entry in the neighbour sets:
+    entry i holds the nodes that order[i] is joined to when it is
     eliminated, which with order[i] itself is the scope of its bucket.  The
     width is the number of nodes in the largest such scope, or in ``keep``.
 
-    Each node's neighbours are an ``int`` bitmask and its degree is the
-    mask's ``bit_count``.  A heap of (degree, node) entries is popped until
-    an entry is current; eliminating u joins its neighbours pairwise and
-    pushes each one's new degree.  The heap's least entry does not depend on
-    the order of the pushes, so this is the order of the set-based pass in
-    ``tests/naive.py`` on every input.
+    Each node's neighbours are a ``set``, so at bounded degree the pass is
+    linear in N in time and memory.  A heap of (degree, node) entries is
+    popped until an entry is current; eliminating u joins its neighbours
+    pairwise, and a neighbour is pushed again only when its degree changed,
+    since otherwise its current entry is still in the heap.  The heap's
+    least current entry does not depend on the order of the pushes, so this
+    is the order of the set-based pass in ``tests/naive.py`` on every input.
     """
-    adj = [0] * n_nodes
+    adj: list[Optional[set[int]]] = [set() for _ in range(n_nodes)]
     for scope in scopes:
-        mask = 0
         for u in scope:
-            mask |= 1 << u
-        for u in scope:
-            adj[u] |= mask
-    kept = 0
-    for u in keep:
-        kept |= 1 << u
+            adj[u].update(scope)
+    kept = set(keep)
     heap = []
-    for u in range(n_nodes):
-        adj[u] &= ~(1 << u)
-        if not kept >> u & 1:
-            heap.append((adj[u].bit_count(), u))
+    for u, nbrs in enumerate(adj):
+        nbrs.discard(u)
+        if u not in kept:
+            heap.append((len(nbrs), u))
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
-    joined_to: list[list[int]] = []
-    eliminated = [False] * n_nodes
+    joined_to: list[set[int]] = []
     width = 0
     while heap:
         degree, u = pop(heap)
         nbrs = adj[u]
-        if eliminated[u] or degree != nbrs.bit_count():
-            continue  # stale entry: u's degree changed after it was pushed
-        eliminated[u] = True
+        if nbrs is None or degree != len(nbrs):
+            continue  # stale entry: u is gone, or its degree changed after the push
         order.append(u)
-        joined: list[int] = []
-        joined_to.append(joined)
+        joined_to.append(nbrs)
+        adj[u] = None
         if degree >= width:
             width = degree + 1
         # Each neighbour v of u gains u's other neighbours and loses u.
-        drop = ~(1 << u)
-        rest = nbrs
-        while rest:
-            v = rest.bit_length() - 1
-            joined.append(v)
-            low = 1 << v
-            rest ^= low
-            adj[v] = mask = (adj[v] | nbrs) & drop ^ low
-            if not kept & low:
-                push(heap, (mask.bit_count(), v))
+        for v in nbrs:
+            near = adj[v]
+            before = len(near)
+            near |= nbrs
+            near.discard(v)
+            near.discard(u)
+            if len(near) != before and v not in kept:
+                push(heap, (len(near), v))
     return order + sorted(keep), joined_to, max(width, len(keep))
 
 

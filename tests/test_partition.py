@@ -136,6 +136,47 @@ class TestLogZExact:
         want = math.log(fib[102])
         assert abs(log_z_exact(path).value - want) <= 2 * math.ulp(want)
 
+    @pytest.mark.parametrize("n", [30, 60])
+    @pytest.mark.parametrize("name, params, c", [
+        ("independent_set", {"lambda": 1.0}, "0.5"),
+        ("independent_set", {"lambda": 1.0}, "1"),
+        ("potts", {"q": 3, "beta": 0.7}, "0.5"),
+        ("ksat", {"k": 3, "beta": 0.9}, "0.15"),
+    ])
+    def test_rational_z_is_invariant_under_relabelling(self, name, params, c, n):
+        """Z as a Fraction, at sizes no enumerator reaches, is unchanged by a
+        random node relabelling and edge reordering with the node and edge
+        tables permuted to match, which change the elimination order and
+        every bucket's shape."""
+        model = build_model(name, **params)
+        inst = make_instance(model, sample_er(n, c, model.arity, 11), 11)
+        rng = np.random.default_rng(n)
+        label = rng.permutation(n)
+        edge_perm = rng.permutation(inst.graph.n_edges)
+        node_tables = np.empty_like(inst.potentials.node_tables)
+        node_tables[label] = inst.potentials.node_tables
+        graph = Hypergraph(n, model.arity, label[inst.graph.edges[edge_perm]])
+        moved = Instance(graph, PotentialDraws(
+            node_tables, inst.potentials.edge_tables[edge_perm]), model)
+        order, _, _ = partition._elimination_order(n, inst.graph.edges.tolist())
+        moved_order, _, _ = partition._elimination_order(n, graph.edges.tolist())
+        assert label[order].tolist() != moved_order
+        assert z_exact_rational(moved) == z_exact_rational(inst) > 0
+
+    @pytest.mark.parametrize("c, k", [("0.5", 2), ("0.15", 3)])
+    def test_order_pass_memory_is_linear_in_n(self, c, k):
+        """The min-degree pass on G(32000, c) in the sparse regime peaks
+        below 24 MiB (tracemalloc) with neighbour sets; an N-bit mask per
+        node would take 62.6 MiB at K = 2 and 40.1 MiB at K = 3."""
+        scopes = sample_er(32000, c, k, 0).edges.tolist()
+        tracemalloc.start()
+        try:
+            partition._elimination_order(32000, scopes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
+
     def test_continuous_cells_use_lengths(self):
         """Half-width cells halve every node factor."""
         m = build_model("potts", q=2, beta=0.0)

@@ -245,7 +245,7 @@ def test_rational_elimination_matches_070_pass(case):
 @PROPERTY
 @given(st.integers(1, 60), st.integers(2, 4), st.data(), SEEDS)
 def test_elimination_order_matches_set_reference(n, k, data, seed):
-    """The bitmask min-degree pass gives the order and width of the 0.7.0
+    """The library's min-degree pass gives the order and width of the 0.7.0
     set-based pass on random hypergraphs: N up to 60, K from 2 to 4, from no
     edges to 3N, tuples that repeat a node, and random kept nodes."""
     rng = np.random.default_rng(seed)
@@ -258,6 +258,23 @@ def test_elimination_order_matches_set_reference(n, k, data, seed):
     want_order, want_joined, want_width = naive_elimination_order(n, scopes, keep)
     assert (order, width) == (want_order, want_width)
     assert [sorted(joined) for joined in joined_to] == [sorted(j) for j in want_joined]
+
+
+@pytest.mark.parametrize("n", [250, 1000, 2000])
+@pytest.mark.parametrize("k, c", [(2, "0.25"), (2, "0.5"), (3, "0.1"), (3, "1/6")])
+def test_elimination_order_matches_set_reference_on_sparse_graphs(n, k, c):
+    """On G(N, c) at N up to 2000 in the sparse regime, K = 2 at c <= 1/2
+    and K = 3 at c <= 1/6, the pass gives the 0.7.0 order, bucket scopes and
+    width: three graphs per case, the first with no kept nodes and the
+    others with up to four."""
+    rng = np.random.default_rng([n, k])
+    for seed in range(3):
+        scopes = sample_er(n, c, k, seed).edges.tolist()
+        keep = tuple(sorted(set(rng.integers(0, n, size=seed * 2).tolist())))
+        order, joined_to, width = partition._elimination_order(n, scopes, keep)
+        want_order, want_joined, want_width = naive_elimination_order(n, scopes, keep)
+        assert (order, width) == (want_order, want_width)
+        assert [sorted(joined) for joined in joined_to] == [sorted(j) for j in want_joined]
 
 
 @st.composite

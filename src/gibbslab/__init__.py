@@ -22,7 +22,6 @@ from .graphs import (
     edge_count,
     graph_from_json,
     graph_to_json,
-    interpolation_chain,
     sample_er,
     sample_interpolated,
 )
@@ -75,4 +74,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.13.2"
+__version__ = "0.14.0"

@@ -12,10 +12,9 @@ All draws are functions of (arguments, seed) only.  Edge placements are built
 from one (M, K) block of uniforms plus one length-M block for the block
 choice, consumed identically at every t, so graphs at different interpolation
 steps under the same seed are coupled sample-by-sample (common random
-numbers) and sample_interpolated(t=0) is bit-identical to sample_er.
-``interpolation_chain`` returns all steps of one seed's chain from a single
-draw of those uniforms, through the same slot helpers as
-``sample_interpolated``.
+numbers) and sample_interpolated(t=0) is bit-identical to sample_er.  The
+slot helpers ``_chain_slots`` and ``_chain_edges`` are that draw and its
+reading at step t; the harness reads every step it needs from one draw.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "edge_count",
     "sample_er",
     "sample_interpolated",
-    "interpolation_chain",
     "degree_stats",
     "degree_tail_probability",
     "graph_to_json",
@@ -202,18 +200,6 @@ def sample_interpolated(n_nodes: int, c: EdgeDensity, arity: int,
     _check_point(point, n_nodes, c)
     glob, block = _chain_slots(n_nodes, c, arity, point.n1, seed)
     return Hypergraph(n_nodes, arity, _chain_edges(glob, block, point.t))
-
-
-def interpolation_chain(n_nodes: int, c: EdgeDensity, arity: int, n1: int,
-                        seed: int) -> list[Hypergraph]:
-    """The whole coupled chain under one seed: graphs for t = 0..floor(c*N).
-
-    Entry t equals ``sample_interpolated`` at InterpolationPoint(t, n1,
-    N - n1) with the same seed; the uniforms are drawn once for all t.
-    """
-    glob, block = _chain_slots(n_nodes, c, arity, n1, seed)
-    return [Hypergraph(n_nodes, arity, _chain_edges(glob, block, t))
-            for t in range(glob.shape[0] + 1)]
 
 
 def degree_stats(graph: Hypergraph) -> DegreeStats:

@@ -7,13 +7,15 @@ parameters.  Statistical pass thresholds are module constants
 (``SE_FACTOR`` = 3 standard errors for monotonicity, ``SLOPE_THRESHOLD`` =
 -0.3 for the concentration proxy); verdicts always carry the raw numbers.
 
-The interpolation chain is coupled and computed sample-major: one task
-derives a sample's seed, draws its whole chain (``interpolation_chain``) and
-its potentials once, and evaluates log Z at every t.  The m + 1 instances of
-a sample share one PotentialDraws, which keeps the log tables the first
-evaluation lifted, so the tables are lifted once per sample.  Each experiment
-call opens at most one process pool, into which the sample blocks of its
-whole chain or of all its sizes go.
+Every estimate evaluates steps of one interpolation chain, sample-major:
+one task derives a sample's seed, draws its edge slots and its potentials
+once, and evaluates log Z at each requested step t.  A plain draw is step 0
+of the split N1 = N, which is ``sample_er`` bit for bit; a point is its one
+step; the monotonicity experiment takes every step.  The instances of a
+sample share one PotentialDraws, which keeps the log tables the first
+evaluation lifted, so the tables are lifted once per sample.  Each
+experiment call opens at most one process pool, into which the sample
+blocks of its whole chain or of all its sizes go.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convexity import certify_model
-from .graphs import Hypergraph, InterpolationPoint, _check_point, \
-    interpolation_chain, sample_er, sample_interpolated
+from .graphs import Hypergraph, InterpolationPoint, _chain_edges, _chain_slots, \
+    _check_point, edge_count
+# Unused here; the benchmark's trace wraps these names on this module.
+from .graphs import sample_er, sample_interpolated  # noqa: F401
 from .models import MODEL_PARAMS, ModelSpec, decode_model
 from .partition import Instance, instance_from_json, instance_to_json, log_z_exact, \
     make_instance, z_exact_rational, z_exact_rational_edge_added
@@ -117,38 +121,27 @@ class ExperimentRecord:
 # Sampling E[log Z]
 # ---------------------------------------------------------------------------
 
-def _sample_task(args: tuple, lo: int, hi: int) -> np.ndarray:
-    """log Z of samples lo..hi-1 at one interpolation point (None: plain)."""
-    model, n_nodes, c, point, seed = args
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        s = derive_seed(seed, SAMPLE, i)
-        if point is None:
-            graph = sample_er(n_nodes, c, model.arity, s)
-        else:
-            graph = sample_interpolated(n_nodes, c, model.arity, point, s)
-        out[i - lo] = log_z_exact(make_instance(model, graph, s)).value
-    return out
-
-
 def _chain_task(args: tuple, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, m + 1) log Z values of samples lo..hi-1 along the chain.
+    """(hi - lo, len(steps)) log Z values of samples lo..hi-1 at chain steps.
 
-    Sample i's seed, graph uniforms and potential draws are the same at
-    every t (the draws depend on the model, M = m and the seed only), so
-    each is made once per sample and only the eliminations run per t.  Each
-    t is still one call of ``log_z_exact`` on its own Instance; those
-    Instances share the sample's PotentialDraws, so the node and edge
-    tables are lifted into log space at the first t only.
+    Sample i's seed, edge slots and potential draws are the same at every t
+    (the draws depend on the model, M = m and the seed only), so each is
+    made once per sample, the graph of each step in ``steps`` is built from
+    the slots, and only the eliminations run per step.  Each step is still
+    one call of ``log_z_exact`` on its own Instance; those Instances share
+    the sample's PotentialDraws, so the node and edge tables are lifted into
+    log space at the first step only.
     """
-    model, n_nodes, c, n1, seed = args
+    model, n_nodes, c, n1, steps, seed = args
     rows = []
     for i in range(lo, hi):
         s = derive_seed(seed, SAMPLE, i)
-        chain = interpolation_chain(n_nodes, c, model.arity, n1, s)
-        draws = make_instance(model, chain[0], s).potentials
+        glob, block = _chain_slots(n_nodes, c, model.arity, n1, s)
+        graphs = [Hypergraph(n_nodes, model.arity, _chain_edges(glob, block, t))
+                  for t in steps]
+        draws = make_instance(model, graphs[0], s).potentials
         rows.append([log_z_exact(Instance(graph, draws, model)).value
-                     for graph in chain])
+                     for graph in graphs])
     return np.array(rows)
 
 
@@ -194,23 +187,26 @@ def _check_sizes(n_list: Sequence[int]) -> list[int]:
 def _sample_sizes(model: ModelSpec, sizes: Sequence[int], c, samples: int,
                   seed: int) -> list[np.ndarray]:
     """log Z of plain draws per size; size idx draws under (seed, EXPERIMENT, idx)."""
-    jobs = [((model, n_nodes, c, None, derive_seed(seed, EXPERIMENT, idx)), samples)
-            for idx, n_nodes in enumerate(sizes)]
-    return _map_blocks(_sample_task, jobs)
+    jobs = [((model, n_nodes, c, n_nodes, (0,), derive_seed(seed, EXPERIMENT, idx)),
+             samples) for idx, n_nodes in enumerate(sizes)]
+    return [values[:, 0] for values in _map_blocks(_chain_task, jobs)]
 
 
 def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int, seed: int,
                        point: Optional[InterpolationPoint] = None) -> MeanEstimate:
     """Mean and standard error of log Z over fresh (graph, potentials) draws.
 
-    A ``point`` whose split is not N nodes, or whose t exceeds floor(c*N), is
-    refused before any pool opens.
+    A plain draw is chain step 0 of the split N1 = N.  A ``point`` whose
+    split is not N nodes, or whose t exceeds floor(c*N), is refused before
+    any pool opens.
     """
     _check_samples(samples)
+    n1, steps = n_nodes, (0,)
     if point is not None:
         _check_point(point, n_nodes, c)
-    values, = _map_blocks(_sample_task, [((model, n_nodes, c, point, seed), samples)])
-    return MeanEstimate(*_mean_se(values), samples, seed)
+        n1, steps = point.n1, (point.t,)
+    values, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, steps, seed), samples)])
+    return MeanEstimate(*_mean_se(values[:, 0]), samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +237,9 @@ def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
         raise ValueError(f"model {model.name!r} is not certified; "
                          "pass allow_uncertified=True (--allow-uncertified on "
                          "the command line) for a report-only run")
-    chain, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, seed), samples_per_t)])
+    steps = tuple(range(edge_count(n_nodes, c) + 1))
+    chain, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, steps, seed),
+                                        samples_per_t)])
     values = np.ascontiguousarray(chain.T)  # one row per t
 
     results: dict = {}

@@ -129,7 +129,8 @@ def _safe_log(table: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
-                       keep: Sequence[int] = ()) -> tuple[list[int], list[set[int]], int]:
+                       keep: Sequence[int] = (), n_states: int = 0
+                       ) -> tuple[list[int], list[set[int]], int]:
     """Greedy min-degree elimination order of the primal graph, each
     eliminated node's neighbours when it goes, and the width.
 
@@ -147,6 +148,13 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
     since otherwise its current entry is still in the heap.  The heap's
     least current entry does not depend on the order of the pushes, so this
     is the order of the set-based pass in ``tests/naive.py`` on every input.
+
+    Given ``n_states`` (the default 0 runs the whole pass), the pass stops
+    as soon as n_states^width exceeds DEFAULT_STATE_CAP, so an instance past
+    the cap is refused while its order is planned.  The order and sets it
+    returns are then partial, and the width is that of the first bucket
+    past the cap.  The check runs only when the width grows, and never
+    stops a pass with one state.
     """
     adj: list[Optional[set[int]]] = [set() for _ in range(n_nodes)]
     for scope in scopes:
@@ -173,6 +181,8 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
         adj[u] = None
         if degree >= width:
             width = degree + 1
+            if n_states ** width > DEFAULT_STATE_CAP:
+                break
         # Each neighbour v of u gains u's other neighbours and loses u.
         for v in nbrs:
             near = adj[v]
@@ -245,9 +255,10 @@ def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
     The factors are already in ``ring``: one row of ``node_factors`` per
     node and one table in ``edge_factors`` per tuple in ``edges``.  The
     min-degree pass gives the order, the width W and each bucket's scope:
-    the bucket's node and the nodes it is joined to when it goes.  It raises
-    StateSpaceCapError when n_states^W > DEFAULT_STATE_CAP, before any table
-    is allocated.  Each bucket multiplies the broadcast tables of its
+    the bucket's node and the nodes it is joined to when it goes.  The pass
+    stops at the first bucket whose n_states^W exceeds DEFAULT_STATE_CAP,
+    and StateSpaceCapError names that bucket's W before any table is
+    allocated.  Each bucket multiplies the broadcast tables of its
     factors and sums the eliminated node out.  Each message is divided by
     its maximum and Z combines those scales, so equal buckets give equal
     results whatever the graph's shape.  Disconnected components factorize
@@ -270,7 +281,7 @@ def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
     ascending node order, whose sum is Z (the ring's zero when Z = 0).
     """
     n_nodes, n_states = len(node_factors), len(node_factors[0])
-    order, joined_to, width = _elimination_order(n_nodes, edges, keep)
+    order, joined_to, width = _elimination_order(n_nodes, edges, keep, n_states)
     if n_states ** width > DEFAULT_STATE_CAP:
         raise StateSpaceCapError(
             f"elimination needs a factor over {width} nodes: "
@@ -338,11 +349,12 @@ def log_z_exact(instance: Instance) -> LogZ:
 
     Nodes are summed out one at a time in a greedy min-degree order (bucket
     elimination), and the pass that finds the order gives each bucket's
-    scope; StateSpaceCapError is raised when the largest intermediate factor
-    would exceed DEFAULT_STATE_CAP entries.  Buckets add log tables and
-    sum out with ``np.logaddexp.reduce``, so a zero factor stays the -inf
-    sentinel.  Each message is shifted to peak at 0 and log Z is the exact
-    sum (``math.fsum``) of the shifts, so rounding does not grow with log Z.
+    scope; StateSpaceCapError is raised, while that pass runs, as soon as
+    an intermediate factor would exceed DEFAULT_STATE_CAP entries.  Buckets
+    add log tables and sum out with ``np.logaddexp.reduce``, so a zero
+    factor stays the -inf sentinel.  Each message is shifted to peak at 0
+    and log Z is the exact sum (``math.fsum``) of the shifts, so rounding
+    does not grow with log Z.
 
     The log tables are lifted once per PotentialDraws and spin domain and
     reused by every later call on the same draws (the m + 1 graphs of an

@@ -105,10 +105,11 @@ class TestUsageErrors:
         assert code == 2
 
     def test_exact_beyond_cap_suggests_mc(self, capsys):
-        """Dense 3-SAT at N = 60: elimination needs a factor over 51 nodes."""
+        """Dense 3-SAT at N = 60: the first factor past the cap is over 28
+        nodes, where the order pass stops."""
         code, _, err = run(capsys, "logz", "--model", "ksat", "--k", "3",
                            "--beta", "0.5", "--n", "60", "--c", "10")
-        assert code == 2 and "--mc" in err and "2^51 entries" in err
+        assert code == 2 and "--mc" in err and "2^28 entries" in err
 
     @pytest.mark.parametrize("command", [
         ("interpolate", "--n", "60", "--n1", "30", "--c", "10", "--samples", "2"),

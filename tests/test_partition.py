@@ -177,6 +177,22 @@ class TestLogZExact:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20
 
+    def test_refusal_stops_the_order_pass_at_the_cap(self):
+        """Hard-core G(16000, 1) is past the cap.  Its order pass stops at
+        the first factor past it, over 25 nodes, and the refusal peaks at
+        15 MiB (tracemalloc); the whole pass would reach a factor over 766
+        nodes and peak at 90 MiB."""
+        m = build_model("independent_set", **{"lambda": 1.0})
+        inst = make_instance(m, sample_er(16000, "1", 2, 0), 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceCapError, match="2\\^25 entries exceed cap"):
+                log_z_exact(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+
     def test_continuous_cells_use_lengths(self):
         """Half-width cells halve every node factor."""
         m = build_model("potts", q=2, beta=0.0)

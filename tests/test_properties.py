@@ -2,7 +2,8 @@
 rational) against the rational oracle, component factorization at the
 disjoint-union endpoint, invariance under the discrete-to-continuous
 embedding, the bucket-elimination pass against the 0.7.0 reference bit for
-bit, the sample-major interpolation chain against the per-point pipeline,
+bit, refusal past the state cap while the order is planned, the
+sample-major chain task against the per-point pipeline and plain draws,
 the Monte Carlo shard against the per-node ``rng.choice`` reference, the
 closed-form minimal PSD shift against a direct scan and
 against the scipy formulation it replaced, and the vectorised soft-state
@@ -11,6 +12,7 @@ check against the per-tuple loop."""
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,12 +32,12 @@ from gibbslab import (
     PiecewiseContinuous,
     PotentialDraws,
     SoftStateParams,
+    StateSpaceCapError,
     add_edge,
     build_model,
     certify_model,
     edge_count,
     embed_discrete,
-    interpolation_chain,
     log_z_exact,
     log_z_mc,
     make_instance,
@@ -318,6 +320,29 @@ def test_bucket_scopes_are_the_order_pass_neighbours(case):
 
 
 @PROPERTY
+@given(elimination_cases())
+def test_cap_refuses_exactly_past_the_naive_width(case):
+    """Under a 2^4-entry cap, log Z is refused exactly when the 0.7.0
+    order's width W has n_states^W past the cap, and the refusal names the
+    first bucket past it; otherwise every bit is the 0.7.0 pass's.  A pass
+    with one state never stops."""
+    inst, _ = case
+    n, q, edges = inst.graph.n_nodes, inst.model.n_states, inst.graph.edges.tolist()
+    _, joined, width = naive_elimination_order(n, edges)
+    cap = 2 ** 4
+    with mock.patch.object(partition, "DEFAULT_STATE_CAP", cap):
+        assert partition._elimination_order(n, edges, (), 1) == \
+            partition._elimination_order(n, edges)
+        if q ** width > cap:
+            first = next(len(j) + 1 for j in joined if q ** (len(j) + 1) > cap)
+            with pytest.raises(StateSpaceCapError, match=f" {q}\\^{first} entries"):
+                log_z_exact(inst)
+        else:
+            assert _bits(log_z_exact(inst).value) == \
+                _bits(naive_eliminate(inst, NAIVE_LOG))
+
+
+@PROPERTY
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=4),
               elements=st.one_of(st.just(0.0), st.floats(0.0, 1e300),
                                  st.floats(0.0, 1e-300))))
@@ -366,37 +391,46 @@ def test_embedding_preserves_log_z(model, n, data):
 
 
 @PROPERTY
-@given(st.integers(1, 12), st.data(), st.sampled_from(["0.05", "0.5", "1", "1.5"]),
-       st.integers(2, 3), SEEDS)
-def test_chain_matches_sample_interpolated(n, data, c, k, seed):
-    """Step t of the chain is sample_interpolated at t, for every t and every
-    split N1 = 1..N; c = 0.05 gives a chain of one graph (m = 0)."""
-    n1 = data.draw(st.integers(1, n))
-    chain = interpolation_chain(n, c, k, n1, seed)
-    assert len(chain) == edge_count(n, c) + 1
-    for t, graph in enumerate(chain):
-        ref = sample_interpolated(n, c, k, InterpolationPoint(t, n1, n - n1), seed)
-        assert (graph.n_nodes, graph.arity) == (n, k)
-        assert graph.edges.dtype == ref.edges.dtype
-        assert np.array_equal(graph.edges, ref.edges)
-
-
-@PROPERTY
-@given(zoo_models(), st.integers(1, 8), st.data(), st.sampled_from(["0.1", "0.5", "1"]),
-       SEEDS)
+@given(zoo_models(), st.integers(1, 8), st.data(),
+       st.sampled_from(["0.05", "0.1", "0.5", "1", "1.5"]), SEEDS)
 def test_chain_values_match_per_point_pipeline(model, n, data, c, seed):
     """Each value of a sample-major chain block is, bit for bit, log Z of the
-    instance drawn on its own at that point from the sample's derived seed."""
+    instance drawn on its own at that point from the sample's derived seed,
+    for every step, every split N1 = 1..N and K = 2 and 3; c = 0.05 gives a
+    chain of one graph (m = 0)."""
     n1 = data.draw(st.integers(1, n))
     lo = data.draw(st.integers(0, 5))
-    rows = harness._chain_task((model, n, c, n1, seed), lo, lo + 2)
-    assert rows.shape == (2, edge_count(n, c) + 1)
+    steps = tuple(range(edge_count(n, c) + 1))
+    rows = harness._chain_task((model, n, c, n1, steps, seed), lo, lo + 2)
+    assert rows.shape == (2, len(steps))
     for i, row in enumerate(rows, start=lo):
         s = derive_seed(seed, SAMPLE, i)
         want = [log_z_exact(make_instance(model, sample_interpolated(
                     n, c, model.arity, InterpolationPoint(t, n1, n - n1), s), s)).value
                 for t in range(len(row))]
         assert [v.hex() for v in row.tolist()] == [v.hex() for v in want]
+
+
+@PROPERTY
+@given(zoo_models(), st.integers(1, 8), st.data(), st.sampled_from(["0.5", "1", "1.5"]),
+       SEEDS)
+def test_chain_task_steps_are_plain_and_point_draws(model, n, data, c, seed):
+    """Step 0 of the split N1 = N is the plain draw ``sample_er``, and one
+    step t of any split is ``sample_interpolated`` at t, bit for bit."""
+    lo = data.draw(st.integers(0, 5))
+    n1 = data.draw(st.integers(1, n))
+    t = data.draw(st.integers(0, edge_count(n, c)))
+    plain = harness._chain_task((model, n, c, n, (0,), seed), lo, lo + 2)
+    point = harness._chain_task((model, n, c, n1, (t,), seed), lo, lo + 2)
+    assert plain.shape == point.shape == (2, 1)
+    for i, (got_plain, got_point) in enumerate(zip(plain[:, 0], point[:, 0]), start=lo):
+        s = derive_seed(seed, SAMPLE, i)
+        want_plain = log_z_exact(make_instance(
+            model, sample_er(n, c, model.arity, s), s)).value
+        want_point = log_z_exact(make_instance(model, sample_interpolated(
+            n, c, model.arity, InterpolationPoint(t, n1, n - n1), s), s)).value
+        assert float(got_plain).hex() == want_plain.hex()
+        assert float(got_point).hex() == want_point.hex()
 
 
 # A potential entry: zero in about a third of the draws, so node tables have

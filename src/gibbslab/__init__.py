@@ -74,4 +74,4 @@ from .partition import (
     z_exact_rational_edge_added,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.14.1"

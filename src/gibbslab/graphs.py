@@ -12,9 +12,10 @@ All draws are functions of (arguments, seed) only.  Edge placements are built
 from one (M, K) block of uniforms plus one length-M block for the block
 choice, consumed identically at every t, so graphs at different interpolation
 steps under the same seed are coupled sample-by-sample (common random
-numbers) and sample_interpolated(t=0) is bit-identical to sample_er.  The
-slot helpers ``_chain_slots`` and ``_chain_edges`` are that draw and its
-reading at step t; the harness reads every step it needs from one draw.
+numbers).  ``_chain_graphs`` makes that draw once and returns the graphs of
+the steps asked for: ``sample_er`` is step 0 of the split N1 = N,
+``sample_interpolated`` is one step, and the harness reads every step a
+sample needs from one call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -141,42 +142,41 @@ def _nodes_from_uniforms(u: np.ndarray, size: int) -> np.ndarray:
     return np.minimum((u * size).astype(np.int64), size - 1)
 
 
-def sample_er(n_nodes: int, c: EdgeDensity, arity: int, seed: int) -> Hypergraph:
-    """Plain ensemble: floor(c*N) i.i.d. edges uniform over the N^K tuples."""
-    if arity < 2:
-        raise ValueError(f"arity must be >= 2, got {arity}")
-    m = edge_count(n_nodes, c)
-    rng = substream(seed, GRAPH)
-    u = rng.random((m, arity))
-    return Hypergraph(n_nodes, arity, _nodes_from_uniforms(u, n_nodes))
+def _chain_graphs(n_nodes: int, c: EdgeDensity, arity: int, n1: int,
+                  steps: Sequence[int], seed: int) -> list[Hypergraph]:
+    """The graph at each chain step in ``steps`` (each in [0, m]) of one slot draw.
 
-
-def _chain_slots(n_nodes: int, c: EdgeDensity, arity: int, n1: int,
-                 seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Global and block-restricted node tuples for every edge slot.
-
-    Row j of the first array is slot j's tuple over all N nodes; row j of
-    the second is its tuple inside block 1 (nodes [0, n1)) when v[j] < n1/N,
-    else inside block 2 (nodes [n1, N)); with n2 = 0, v < 1 always picks
-    block 1.  Both are elementwise in one draw of (u, v), so a slot's tuple
-    does not depend on how many slots are block-restricted.
+    Slot j holds a global tuple over all N nodes and, when it is block
+    restricted, a tuple inside block 1 (nodes [0, n1)) if v[j] < n1/N, else
+    inside block 2 (nodes [n1, N)); with n2 = 0, v < 1 always picks block 1.
+    Step t takes the first m - t global tuples, then the last t block tuples.
+    Both tuples are elementwise in one draw of (u, v), so a slot's tuple does
+    not depend on how many slots are restricted, and block tuples are built
+    only for the slots the largest step restricts.
     """
+    if n_nodes < 1:
+        raise ValueError(f"need at least one node, got {n_nodes}")
     if arity < 2:
         raise ValueError(f"arity must be >= 2, got {arity}")
     n2 = InterpolationPoint(0, n1, n_nodes - n1).n2  # validates the split
     m = edge_count(n_nodes, c)
     rng = substream(seed, GRAPH)
     u = rng.random((m, arity))
-    v = rng.random(m)
-    block = np.where((v < n1 / n_nodes)[:, None], _nodes_from_uniforms(u, n1),
-                     n1 + _nodes_from_uniforms(u, max(n2, 1)))
-    return _nodes_from_uniforms(u, n_nodes), block
+    glob = _nodes_from_uniforms(u, n_nodes)
+    g = m - max(steps)  # slots g..m-1 are restricted at some step
+    tail, in_block1 = u[g:], rng.random(m)[g:] < n1 / n_nodes
+    block = np.where(in_block1[:, None], _nodes_from_uniforms(tail, n1),
+                     n1 + _nodes_from_uniforms(tail, max(n2, 1)))
+    return [Hypergraph(n_nodes, arity, np.concatenate([glob[:m - t], block[m - t - g:]]))
+            for t in steps]
 
 
-def _chain_edges(glob: np.ndarray, block: np.ndarray, t: int) -> np.ndarray:
-    """Edges at chain step t: the first M - t global slots, then t block slots."""
-    g = glob.shape[0] - t
-    return np.concatenate([glob[:g], block[g:]])
+def sample_er(n_nodes: int, c: EdgeDensity, arity: int, seed: int) -> Hypergraph:
+    """Plain ensemble: floor(c*N) i.i.d. edges uniform over the N^K tuples.
+
+    This is chain step 0 of the split N1 = N.
+    """
+    return _chain_graphs(n_nodes, c, arity, n_nodes, (0,), seed)[0]
 
 
 def _check_point(point: InterpolationPoint, n_nodes: int, c: EdgeDensity) -> None:
@@ -198,8 +198,7 @@ def sample_interpolated(n_nodes: int, c: EdgeDensity, arity: int,
     block 2 (nodes [n1, N)).
     """
     _check_point(point, n_nodes, c)
-    glob, block = _chain_slots(n_nodes, c, arity, point.n1, seed)
-    return Hypergraph(n_nodes, arity, _chain_edges(glob, block, point.t))
+    return _chain_graphs(n_nodes, c, arity, point.n1, (point.t,), seed)[0]
 
 
 def degree_stats(graph: Hypergraph) -> DegreeStats:

@@ -8,10 +8,11 @@ parameters.  Statistical pass thresholds are module constants
 -0.3 for the concentration proxy); verdicts always carry the raw numbers.
 
 Every estimate evaluates steps of one interpolation chain, sample-major:
-one task derives a sample's seed, draws its edge slots and its potentials
-once, and evaluates log Z at each requested step t.  A plain draw is step 0
-of the split N1 = N, which is ``sample_er`` bit for bit; a point is its one
-step; the monotonicity experiment takes every step.  The instances of a
+one task derives a sample's seed, takes the graphs of the requested steps
+from one ``graphs._chain_graphs`` call, draws its potentials once, and
+evaluates log Z at each step t.  A plain draw is step 0 of the split
+N1 = N, which is what ``sample_er`` returns; a point is its one step; the
+monotonicity experiment takes every step.  The instances of a
 sample share one PotentialDraws, which keeps the log tables the first
 evaluation lifted, so the tables are lifted once per sample.  Each
 experiment call opens at most one process pool, into which the sample
@@ -33,8 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convexity import certify_model
-from .graphs import Hypergraph, InterpolationPoint, _chain_edges, _chain_slots, \
-    _check_point, edge_count
+from .graphs import Hypergraph, InterpolationPoint, _chain_graphs, _check_point, \
+    edge_count
 # Unused here; the benchmark's trace wraps these names on this module.
 from .graphs import sample_er, sample_interpolated  # noqa: F401
 from .models import MODEL_PARAMS, ModelSpec, decode_model
@@ -124,29 +125,27 @@ class ExperimentRecord:
 def _chain_task(args: tuple, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, len(steps)) log Z values of samples lo..hi-1 at chain steps.
 
-    Sample i's seed, edge slots and potential draws are the same at every t
-    (the draws depend on the model, M = m and the seed only), so each is
-    made once per sample, the graph of each step in ``steps`` is built from
-    the slots, and only the eliminations run per step.  Each step is still
-    one call of ``log_z_exact`` on its own Instance; those Instances share
-    the sample's PotentialDraws, so the node and edge tables are lifted into
-    log space at the first step only.
+    Sample i's seed, slot draw and potential draws are the same at every t
+    (the potentials depend on the model, M = m and the seed only), so each
+    is made once per sample: one ``_chain_graphs`` call gives the graph of
+    every step in ``steps``, and only the eliminations run per step.  Each
+    step is still one call of ``log_z_exact`` on its own Instance; those
+    Instances share the sample's PotentialDraws, so the node and edge tables
+    are lifted into log space at the first step only.
     """
     model, n_nodes, c, n1, steps, seed = args
     rows = []
     for i in range(lo, hi):
         s = derive_seed(seed, SAMPLE, i)
-        glob, block = _chain_slots(n_nodes, c, model.arity, n1, s)
-        graphs = [Hypergraph(n_nodes, model.arity, _chain_edges(glob, block, t))
-                  for t in steps]
+        graphs = _chain_graphs(n_nodes, c, model.arity, n1, steps, s)
         draws = make_instance(model, graphs[0], s).potentials
         rows.append([log_z_exact(Instance(graph, draws, model)).value
                      for graph in graphs])
     return np.array(rows)
 
 
-def _map_blocks(task, jobs: Sequence[tuple]) -> list:
-    """``task(args, lo, hi)`` over samples 0..n-1 of every (args, n) job.
+def _map_blocks(jobs: Sequence[tuple]) -> list:
+    """``_chain_task(args, lo, hi)`` over samples 0..n-1 of every (args, n) job.
 
     A mean or a chain is one job; a size-list experiment has one per size.
     Each job's samples are cut into about 4 blocks per worker; the blocks
@@ -157,14 +156,14 @@ def _map_blocks(task, jobs: Sequence[tuple]) -> list:
     """
     workers = resolve_workers()
     if workers <= 1 or sum(n for _, n in jobs) < 4:
-        return [task(args, 0, n) for args, n in jobs]
+        return [_chain_task(args, 0, n) for args, n in jobs]
     blocks = []
     for j, (args, n) in enumerate(jobs):
         step = max(1, math.ceil(n / (4 * workers)))
         blocks += [(j, args, lo, min(lo + step, n)) for lo in range(0, n, step)]
     _, block_args, los, his = zip(*blocks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(task, block_args, los, his))
+        parts = list(pool.map(_chain_task, block_args, los, his))
     out = [[] for _ in jobs]
     for (j, *_), part in zip(blocks, parts):
         out[j].append(part)
@@ -189,7 +188,7 @@ def _sample_sizes(model: ModelSpec, sizes: Sequence[int], c, samples: int,
     """log Z of plain draws per size; size idx draws under (seed, EXPERIMENT, idx)."""
     jobs = [((model, n_nodes, c, n_nodes, (0,), derive_seed(seed, EXPERIMENT, idx)),
              samples) for idx, n_nodes in enumerate(sizes)]
-    return [values[:, 0] for values in _map_blocks(_chain_task, jobs)]
+    return [values[:, 0] for values in _map_blocks(jobs)]
 
 
 def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int, seed: int,
@@ -205,7 +204,7 @@ def estimate_mean_logz(model: ModelSpec, n_nodes: int, c, samples: int, seed: in
     if point is not None:
         _check_point(point, n_nodes, c)
         n1, steps = point.n1, (point.t,)
-    values, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, steps, seed), samples)])
+    values, = _map_blocks([((model, n_nodes, c, n1, steps, seed), samples)])
     return MeanEstimate(*_mean_se(values[:, 0]), samples, seed)
 
 
@@ -238,8 +237,7 @@ def interpolation_monotonicity(model: ModelSpec, n_nodes: int, n1: int, c,
                          "pass allow_uncertified=True (--allow-uncertified on "
                          "the command line) for a report-only run")
     steps = tuple(range(edge_count(n_nodes, c) + 1))
-    chain, = _map_blocks(_chain_task, [((model, n_nodes, c, n1, steps, seed),
-                                        samples_per_t)])
+    chain, = _map_blocks([((model, n_nodes, c, n1, steps, seed), samples_per_t)])
     values = np.ascontiguousarray(chain.T)  # one row per t
 
     results: dict = {}

@@ -149,12 +149,13 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
     least current entry does not depend on the order of the pushes, so this
     is the order of the set-based pass in ``tests/naive.py`` on every input.
 
-    Given ``n_states`` (the default 0 runs the whole pass), the pass stops
-    as soon as n_states^width exceeds DEFAULT_STATE_CAP, so an instance past
-    the cap is refused while its order is planned.  The order and sets it
-    returns are then partial, and the width is that of the first bucket
-    past the cap.  The check runs only when the width grows, and never
-    stops a pass with one state.
+    Given ``n_states`` (the default 0 runs the whole pass), the pass raises
+    StateSpaceCapError at the first bucket whose n_states^width exceeds
+    DEFAULT_STATE_CAP, so an instance past the cap is refused while its
+    order is planned, before any table is allocated.  The check runs only
+    when the width grows, and never stops a pass with one state.  The kept
+    nodes span at most K nodes, whose n_states^K tables the model already
+    holds under the same cap.
     """
     adj: list[Optional[set[int]]] = [set() for _ in range(n_nodes)]
     for scope in scopes:
@@ -170,7 +171,7 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
     pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
     joined_to: list[set[int]] = []
-    width = 0
+    width = len(keep)
     while heap:
         degree, u = pop(heap)
         nbrs = adj[u]
@@ -182,7 +183,9 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
         if degree >= width:
             width = degree + 1
             if n_states ** width > DEFAULT_STATE_CAP:
-                break
+                raise StateSpaceCapError(
+                    f"elimination needs a factor over {width} nodes: "
+                    f"{n_states}^{width} entries exceed cap {DEFAULT_STATE_CAP}")
         # Each neighbour v of u gains u's other neighbours and loses u.
         for v in nbrs:
             near = adj[v]
@@ -192,7 +195,7 @@ def _elimination_order(n_nodes: int, scopes: Sequence[Sequence[int]],
             near.discard(u)
             if len(near) != before and v not in kept:
                 push(heap, (len(near), v))
-    return order + sorted(keep), joined_to, max(width, len(keep))
+    return order + sorted(keep), joined_to, width
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,10 +257,10 @@ def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
 
     The factors are already in ``ring``: one row of ``node_factors`` per
     node and one table in ``edge_factors`` per tuple in ``edges``.  The
-    min-degree pass gives the order, the width W and each bucket's scope:
-    the bucket's node and the nodes it is joined to when it goes.  The pass
-    stops at the first bucket whose n_states^W exceeds DEFAULT_STATE_CAP,
-    and StateSpaceCapError names that bucket's W before any table is
+    min-degree pass gives the order and each bucket's scope: the bucket's
+    node and the nodes it is joined to when it goes.  That pass raises
+    StateSpaceCapError at the first bucket whose n_states^W exceeds
+    DEFAULT_STATE_CAP, naming that bucket's W, before any table is
     allocated.  Each bucket multiplies the broadcast tables of its
     factors and sums the eliminated node out.  Each message is divided by
     its maximum and Z combines those scales, so equal buckets give equal
@@ -281,11 +284,7 @@ def _eliminate(node_factors: Sequence[np.ndarray], edges: list,
     ascending node order, whose sum is Z (the ring's zero when Z = 0).
     """
     n_nodes, n_states = len(node_factors), len(node_factors[0])
-    order, joined_to, width = _elimination_order(n_nodes, edges, keep, n_states)
-    if n_states ** width > DEFAULT_STATE_CAP:
-        raise StateSpaceCapError(
-            f"elimination needs a factor over {width} nodes: "
-            f"{n_states}^{width} entries exceed cap {DEFAULT_STATE_CAP}")
+    order, joined_to, _ = _elimination_order(n_nodes, edges, keep, n_states)
     position = [0] * n_nodes
     for i, u in enumerate(order):
         position[u] = i

@@ -22,16 +22,19 @@ MC_SHARD = 4
 EXPERIMENT = 6
 
 
+def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the substream at ``path`` under ``seed``.
 
     Identical (seed, path) pairs always yield identical streams; distinct
     paths yield statistically independent streams.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, path)))
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -41,7 +44,5 @@ def derive_seed(seed: int, *path: int) -> int:
     themselves (graph samplers, potential draws), keeping the whole replica
     tree deterministic and worker-order independent.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return int.from_bytes(ss.generate_state(4).tobytes(), "little")
+    state = _seed_sequence(seed, path).generate_state(4)
+    return int.from_bytes(state.tobytes(), "little")

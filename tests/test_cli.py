@@ -104,6 +104,15 @@ class TestUsageErrors:
         code, _, _ = run(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("logz", "--n", "4", "--c", "1"), "either --model or --config is required"),
+        (("gen", "--n", "0", "--c", "1"), "need at least one node, got 0"),
+        (("gen", "--n", "-3", "--c", "1"), "need at least one node, got -3"),
+    ])
+    def test_refusal_names_its_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"error: {message}" in err
+
     def test_exact_beyond_cap_suggests_mc(self, capsys):
         """Dense 3-SAT at N = 60: the first factor past the cap is over 28
         nodes, where the order pass stops."""

@@ -43,6 +43,8 @@ class TestRestrictedDefiniteness:
             for bad in (math.inf, math.nan):
                 with pytest.raises(ValueError, match="finite"):
                     entry(np.array([[bad, 0.0], [0.0, 1.0]]))
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                entry(np.ones((2, 3)))
 
 
 class TestMinAlphaPsd:
@@ -513,6 +515,12 @@ class TestPowerSumWitness:
             self._refused(replace(model, witness=witness), "reconstruct")
             assert math.isnan(certify_model(replace(model, witness=witness))
                               .detail["residual"])
+
+    def test_witness_of_another_size_refused(self):
+        """The Ising witness (q = 2) on the Potts q = 3 law."""
+        witness = build_model("ising", beta=0.5).witness
+        self._refused(replace(build_model("potts", q=3, beta=0.5), witness=witness),
+                      "does not match the edge law's size")
 
     def test_odd_arity_with_signed_phi_refused(self):
         self._refused(build_model("xor", k=3, beta=0.5), "odd arity")

@@ -1,6 +1,7 @@
 """Hypergraph ensembles: edge counts, marginals, interpolation, degrees."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,35 @@ class TestEdgeCount:
             with pytest.raises(ValueError):
                 edge_count(5, bad)
 
+    def test_rejects_unsupported_type(self):
+        with pytest.raises(TypeError, match="unsupported edge density type"):
+            edge_count(4, None)
+
 
 class TestSampleEr:
+    @pytest.mark.parametrize("n, k, match", [
+        (0, 2, "need at least one node, got 0"),
+        (-3, 2, "need at least one node, got -3"),
+        (4, 1, "arity must be >= 2, got 1"),
+        (0, 1, "need at least one node"),  # the node count is checked first
+    ])
+    def test_refusals(self, n, k, match):
+        with pytest.raises(ValueError, match=match):
+            sample_er(n, 1, k, seed=0)
+
+    def test_plain_draw_builds_no_block_tuples(self):
+        """A plain draw of 5e5 pairs peaks at about 3 times its edge bytes
+        (the uniforms and two temporaries of the same size, 23.6 MiB under
+        tracemalloc); building block tuples for every slot of its chain
+        would peak at 5.2 times (39.4 MiB)."""
+        tracemalloc.start()
+        try:
+            g = sample_er(500_000, 1, 2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.edges.nbytes
+
     def test_single_node_forces_self_loops(self):
         """N=1, c=3, K=2: the only tuple is (0,0), drawn three times."""
         g = sample_er(1, 3, 2, seed=0)
@@ -163,6 +191,8 @@ class TestInterpolated:
             sample_interpolated(5, 1, 2, InterpolationPoint(0, 2, 2), seed=0)
         with pytest.raises(ValueError):
             sample_interpolated(4, 1, 2, InterpolationPoint(9, 2, 2), seed=0)
+        with pytest.raises(ValueError, match="arity must be >= 2, got 1"):
+            sample_interpolated(4, 1, 1, InterpolationPoint(1, 2, 2), seed=0)
 
 
 class TestDegreeStats:

@@ -446,8 +446,9 @@ class TestRecordsAndReplay:
             replay_record(bad)
 
     def test_unknown_experiment_rejected(self):
-        rec = ExperimentRecord("bogus", {"model": "potts"}, {}, "report")
-        with pytest.raises(ValueError):
+        rec = ExperimentRecord("bogus", {"model": "potts", "q": 3, "beta": 0.5}, {},
+                               "report")
+        with pytest.raises(ValueError, match="unknown experiment 'bogus'"):
             replay_record(rec)
 
 

@@ -92,6 +92,20 @@ class TestBuildModel:
         with pytest.raises(ModelConfigError):
             build_model("independent_set", **{"lambda": 1.0, "bogus": 3})
 
+    @pytest.mark.parametrize("name, params, match", [
+        ("ising", {"beta": -0.5}, "ferromagnetic ising"),
+        ("ising", {"beta": 0.5, "h": 0.0}, "external field h must be positive"),
+        ("viana_bray", {"k": 1, "beta": 0.5}, "arity k must be >= 2"),
+        ("viana_bray", {"k": 2, "beta": 0.0}, "viana-bray needs beta > 0"),
+        ("viana_bray", {"k": 2, "beta": 0.5, "h": -1.0}, "h must be positive"),
+        ("viana_bray", {"k": 2, "beta": 0.5, "i_values": [1.0, -1.0],
+                        "i_probs": [0.5, 0.4]}, "i_probs must be positive and sum to 1"),
+        ("ksat", {"k": 3, "beta": -0.1}, "ksat needs beta >= 0"),
+    ])
+    def test_param_refusals_name_their_message(self, name, params, match):
+        with pytest.raises(ModelConfigError, match=match):
+            build_model(name, **params)
+
     @pytest.mark.parametrize("name, params", [
         ("potts", {"q": 2.5, "beta": 1.0}),
         ("potts", {"q": math.inf, "beta": 1.0}),
@@ -225,6 +239,15 @@ class TestBuildModel:
         with pytest.raises(ModelConfigError, match=match):
             EdgePotentialSpec(2, tables, probs)
 
+    def test_law_arity_below_two_rejected(self):
+        with pytest.raises(ModelConfigError, match="edge arity must be >= 2, got 1"):
+            EdgePotentialSpec(1, np.ones((1, 2)), [1.0])
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_node_table_checks(self, value):
+        with pytest.raises(ModelConfigError, match="finite and >= 0"):
+            NodePotentialSpec([1.0, value])
+
     @pytest.mark.parametrize("key", ["kappa", "rho_min", "rho_max", "j_max", "alpha"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_soft_state_params_finite(self, key, value):
@@ -239,6 +262,8 @@ class TestBuildModel:
             SoftStateParams(kappa=1, rho_min=0.5, rho_max=1.0, j_max=2.0, alpha=2.0)
         with pytest.raises(ModelConfigError):
             SoftStateParams(kappa=1, rho_min=0.5, rho_max=1.0, j_max=1.0, alpha=0.5)
+        with pytest.raises(ModelConfigError, match="kappa must be positive"):
+            SoftStateParams(kappa=0, rho_min=0.5, rho_max=1.0, j_max=1.0, alpha=1.0)
 
 
 class TestEmbedding:
@@ -447,6 +472,10 @@ class TestContinuousPieces:
             PiecewiseContinuous(((0.0, 0.0),))
         with pytest.raises(ModelConfigError):
             Discrete(1)
+        with pytest.raises(ModelConfigError, match="at least one cell"):
+            PiecewiseContinuous(())
+        with pytest.raises(ModelConfigError, match="half_width > 0"):
+            gaussian_kernel_potential(0)
 
 
 class TestConfig:

@@ -226,6 +226,11 @@ class TestLogZMc:
         assert abs(est.value - math.log(3)) <= 3 * est.std_error
         assert est.std_error < 1e-3
 
+    def test_rejects_zero_samples(self):
+        inst = make_instance(build_model("ising", beta=0.3, h=1.7), _graph(2, [[0, 1]]), 0)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            log_z_mc(inst, samples=0, seed=0)
+
     def test_one_sample_has_no_se(self):
         """One sample gives no standard error, and the row omits it.  Ising
         weights are positive, so the sample is not the all-zero case."""
@@ -333,6 +338,12 @@ class TestChangeBounds:
         # adding (1, 2, 3) touches all three existing edges: nb = 4 with self
         expect = (2 * 3 + 2 * 4 + 1) * mk.soft.log_ratio
         assert edge_change_bound(inst3, (1, 2, 3)) == pytest.approx(expect)
+
+    @pytest.mark.parametrize("node", [-1, 3])
+    def test_node_bound_rejects_bad_node(self, node):
+        inst = make_instance(IS1, _graph(3, [[0, 1]]), 0)
+        with pytest.raises(ValueError, match=f"node {node} out of range"):
+            node_change_bound(inst, node)
 
     def test_edge_bound_rejects_bad_edges(self):
         inst = make_instance(IS1, _graph(3, [[0, 1]]), 0)
@@ -551,3 +562,5 @@ class TestSerialization:
         good = make_instance(m, _graph(2, [[0, 1]]), 0)
         with pytest.raises(ValueError):
             Instance(_graph(3, [[0, 1]]), good.potentials, m)
+        with pytest.raises(ValueError, match="edge tables do not match"):
+            Instance(_graph(2, [[0, 1], [1, 0]]), good.potentials, m)

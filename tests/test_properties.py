@@ -51,6 +51,7 @@ from gibbslab import (
 )
 
 from gibbslab import harness, partition
+from gibbslab.graphs import _chain_graphs
 from gibbslab.partition import MC_SHARD_SIZE, _mc_shard, _safe_log
 from gibbslab.seeds import MC_SHARD, SAMPLE, derive_seed, substream
 
@@ -397,17 +398,23 @@ def test_chain_values_match_per_point_pipeline(model, n, data, c, seed):
     """Each value of a sample-major chain block is, bit for bit, log Z of the
     instance drawn on its own at that point from the sample's derived seed,
     for every step, every split N1 = 1..N and K = 2 and 3; c = 0.05 gives a
-    chain of one graph (m = 0)."""
+    chain of one graph (m = 0).  Every graph ``_chain_graphs`` returns, for
+    all steps and for a drawn subset, is its ``sample_interpolated`` twin."""
     n1 = data.draw(st.integers(1, n))
     lo = data.draw(st.integers(0, 5))
     steps = tuple(range(edge_count(n, c) + 1))
+    some = tuple(data.draw(st.lists(st.sampled_from(steps), min_size=1, max_size=4)))
     rows = harness._chain_task((model, n, c, n1, steps, seed), lo, lo + 2)
     assert rows.shape == (2, len(steps))
     for i, row in enumerate(rows, start=lo):
         s = derive_seed(seed, SAMPLE, i)
-        want = [log_z_exact(make_instance(model, sample_interpolated(
-                    n, c, model.arity, InterpolationPoint(t, n1, n - n1), s), s)).value
-                for t in range(len(row))]
+        twins = [sample_interpolated(n, c, model.arity, InterpolationPoint(t, n1, n - n1), s)
+                 for t in steps]
+        for chosen in (steps, some):
+            graphs = _chain_graphs(n, c, model.arity, n1, chosen, s)
+            assert [g.edges.tobytes() for g in graphs] == \
+                [twins[t].edges.tobytes() for t in chosen]
+        want = [log_z_exact(make_instance(model, twin, s)).value for twin in twins]
         assert [v.hex() for v in row.tolist()] == [v.hex() for v in want]
 
 
@@ -431,6 +438,12 @@ def test_chain_task_steps_are_plain_and_point_draws(model, n, data, c, seed):
             n, c, model.arity, InterpolationPoint(t, n1, n - n1), s), s)).value
         assert float(got_plain).hex() == want_plain.hex()
         assert float(got_point).hex() == want_point.hex()
+
+
+@pytest.mark.parametrize("entry", [substream, derive_seed])
+def test_negative_seed_refused(entry):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        entry(-1, SAMPLE, 0)
 
 
 # A potential entry: zero in about a third of the draws, so node tables have

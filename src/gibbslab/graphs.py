@@ -56,9 +56,19 @@ class Hypergraph:
     edges: np.ndarray  # (M, K) int64, list order = draw order
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, self.arity)
+        if self.arity < 2:
+            raise ValueError(f"arity must be >= 2, got {self.arity}")
         if self.n_nodes < 1:
             raise ValueError(f"need at least one node, got {self.n_nodes}")
+        e = np.asarray(self.edges)
+        # An integer array (every sampler's) is integral as it stands; any
+        # other is refused unless each entry is a whole number.
+        if e.dtype.kind not in "iu" and e.size and not (
+                e.dtype.kind == "f" and np.all(np.isfinite(e) & (e == np.trunc(e)))):
+            raise ValueError("edge entries must be integers")
+        if e.size and (e.ndim != 2 or e.shape[1] != self.arity):
+            raise ValueError(f"edges must have shape (M, {self.arity}), got {e.shape}")
+        e = e.astype(np.int64, copy=False).reshape(-1, self.arity)
         if e.size and (e.min() < 0 or e.max() >= self.n_nodes):
             raise ValueError("edge entries must lie in [0, n_nodes)")
         e.setflags(write=False)
@@ -248,6 +258,11 @@ def graph_to_json(graph: Hypergraph) -> str:
 
 
 def graph_from_json(text: str) -> Hypergraph:
+    """The graph of ``graph_to_json``'s payload; ``Hypergraph`` validates it.
+
+    The edges are read without an integer cast, so a fractional node index
+    is refused rather than truncated, and the arity is checked before the
+    edges are shaped by it.
+    """
     obj = json.loads(text)
-    edges = np.array(obj["edges"], dtype=np.int64).reshape(-1, obj["k"])
-    return Hypergraph(obj["n"], obj["k"], edges)
+    return Hypergraph(obj["n"], obj["k"], np.array(obj["edges"]))

@@ -422,13 +422,15 @@ def _mc_shard(node_probs: np.ndarray, log_edges: np.ndarray, edges: np.ndarray,
     state (q = 1 included) and every weight equals the per-node ``choice``
     draw bit for bit.  Each edge reads its raveled log table at the flat
     index of its nodes' states, a repeated node reading the diagonal, and
-    the weights add up edge by edge in order, as before.
+    the weights add up edge by edge in order, as before.  The states are
+    codes in the narrowest unsigned dtype that holds q - 1, one byte up to
+    q = 256; the flat index is ``intp``.
     """
     rng = substream(seed, MC_SHARD, shard_idx)
     n_nodes, n_states = node_probs.shape
     cdf = node_probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    states = np.empty((n_nodes, size), dtype=np.intp)
+    states = np.empty((n_nodes, size), dtype=np.min_scalar_type(n_states - 1))
     u = np.empty(size)
     below = np.empty(size, dtype=bool)
     for v in range(n_nodes):
@@ -467,7 +469,9 @@ def log_z_mc(instance: Instance, samples: int, seed: int) -> McLogZ:
     A shard maps each node's uniforms to states by comparing them with the
     node's cdf, as ``rng.choice`` with probabilities does (see
     ``_mc_shard``), so the estimate is that of per-node ``choice`` draws
-    bit for bit.
+    bit for bit.  Each shard's log weights are copied into one
+    ``(samples,)`` buffer, which is shifted by its maximum and exponentiated
+    in place once the maximum and the zero fraction are read.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -480,9 +484,10 @@ def log_z_mc(instance: Instance, samples: int, seed: int) -> McLogZ:
     log_edges = _safe_log(instance.potentials.edge_tables)
     edges = instance.graph.edges
 
-    sizes = [min(MC_SHARD_SIZE, samples - lo) for lo in range(0, samples, MC_SHARD_SIZE)]
-    lw = np.concatenate([_mc_shard(node_probs, log_edges, edges, seed, i, size)
-                         for i, size in enumerate(sizes)])
+    lw = np.empty(samples)
+    for i, lo in enumerate(range(0, samples, MC_SHARD_SIZE)):
+        hi = min(lo + MC_SHARD_SIZE, samples)
+        lw[lo:hi] = _mc_shard(node_probs, log_edges, edges, seed, i, hi - lo)
 
     mu = float(lw.max())
     zero_fraction = float(np.mean(lw == -math.inf))
@@ -491,7 +496,8 @@ def log_z_mc(instance: Instance, samples: int, seed: int) -> McLogZ:
         upper = base + instance.graph.n_edges * math.log(instance.model.soft.j_max) \
             + math.log(3.0 / samples)
         return McLogZ(-math.inf, None, samples, seed, 1.0, upper)
-    w = np.exp(lw - mu)
+    lw -= mu
+    w = np.exp(lw, out=lw)
     mean_w = float(w.mean())
     value = base + mu + math.log(mean_w)
     if samples < 2:

@@ -281,3 +281,19 @@ class TestSerialization:
             Hypergraph(2, 2, np.array([[0, 2]]))
         with pytest.raises(ValueError):
             Hypergraph(0, 2, np.zeros((0, 2), dtype=int))
+
+    @pytest.mark.parametrize("payload, message", [
+        ('{"n":3,"k":2,"edges":[[0.7,1]]}', "edge entries must be integers"),
+        ('{"n":3,"k":2,"edges":[["0",1]]}', "edge entries must be integers"),
+        ('{"n":3,"k":1,"edges":[[0]]}', r"arity must be >= 2, got 1"),
+        ('{"n":3,"k":0,"edges":[]}', r"arity must be >= 2, got 0"),
+        ('{"n":3,"k":2,"edges":[[0,1,2,0]]}', r"edges must have shape \(M, 2\)"),
+    ])
+    def test_from_json_refuses(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            graph_from_json(payload)
+
+    def test_from_json_reads_whole_floats(self):
+        """A float that is a whole number is the node it names."""
+        g = graph_from_json('{"n":3,"k":2,"edges":[[1.0,2]]}')
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[1, 2]]

@@ -263,6 +263,21 @@ class TestLogZMc:
         est = log_z_mc(inst, samples=200_000, seed=0)
         assert (est.value.hex(), est.std_error.hex()) == (value, se)
 
+    def test_memory_one_weight_buffer(self):
+        """Ising N=60, 2e5 samples: one-byte state codes in each shard and
+        one weight buffer exponentiated in place keep the call's peak under
+        5 MiB (tracemalloc); 8-byte states and joined shard weights took
+        9.4 MiB."""
+        m = build_model("ising", beta=0.5, h=1.0)
+        inst = make_instance(m, sample_er(60, 1.5, m.arity, 0), 0)
+        tracemalloc.start()
+        try:
+            log_z_mc(inst, samples=200_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
     def test_ess(self):
         """Kong's ESS: hard-core weights are 0 or 1, so it counts the nonzero
         ones; equal weights give the sample count; no weight gives None."""
@@ -431,6 +446,18 @@ class TestTableValidation:
         table.flat[-1] = value
         payload[field] = table.tolist()
         with pytest.raises(ValueError, match="finite and >= 0"):
+            instance_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("edges", [[0.5, 1]], "edge entries must be integers"),
+        ("k", 1, r"arity must be >= 2, got 1"),
+    ])
+    def test_instance_from_json_rejects_graph(self, field, value, message):
+        """The stored graph is read by ``graph_from_json``, with its refusals."""
+        payload = json.loads(instance_to_json(
+            make_instance(IS1, _graph(2, [[0, 1]]), 0)))
+        payload["graph"][field] = value
+        with pytest.raises(ValueError, match=message):
             instance_from_json(json.dumps(payload))
 
 

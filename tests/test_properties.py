@@ -478,6 +478,27 @@ def test_mc_shard_matches_choice_reference(q, k, data):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("q", [256, 257])
+def test_mc_shard_matches_choice_reference_at_code_width(q, k):
+    """q = 256 is the last q whose state codes fit one byte and q = 257 the
+    first that needs two: the shard equals the per-node ``rng.choice``
+    shard byte for byte at both, with node 0 drawing the top state q - 1
+    most of the time, zero-probability states and -inf weights."""
+    rng = np.random.default_rng(q * 10 + k)
+    n = 4
+    tables = rng.random((n, q)) * (rng.random((n, q)) < 0.7)
+    tables[0, -1] = 10.0 * q
+    node_probs = tables / tables.sum(axis=1)[:, None]
+    edges = np.array([[0, 1], [2, 2], [3, 0], [1, 3]])[:, :k]
+    log_edges = _safe_log(rng.random((len(edges),) + (q,) * k)
+                          * (rng.random((len(edges),) + (q,) * k) < 0.9))
+    got = _mc_shard(node_probs, log_edges, edges, 5, 1, 1000)
+    want = naive_mc_shard(node_probs, log_edges, edges, 5, 1, 1000)
+    assert got.dtype == want.dtype and got.shape == (1000,)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_mc_shard_tie_goes_to_the_upper_state():
     """A uniform equal to a cdf entry picks the next state, as searchsorted
     'right' does in ``rng.choice``: p = (u, 1 - u) for the shard's first
